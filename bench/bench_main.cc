@@ -1013,7 +1013,9 @@ int MicroCliqueEnum(const BenchOptions& options,
   }
   ClusteringGraph graph(phase1->clusters, graph_opts);
   Stopwatch watch;
-  const auto cliques = graph.MaximalCliques();
+  // Unbounded, serial: max_cliques = max_steps = 0, no executor.
+  const auto cliques =
+      graph::EnumerateMaximalCliques(graph.graph(), {}).cliques;
   const double seconds = watch.ElapsedSeconds();
   telemetry::MetricsRegistry registry;
   registry.GetCounter("micro.clique.nodes")

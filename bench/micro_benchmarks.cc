@@ -13,6 +13,7 @@
 #include "core/clustering_graph.h"
 #include "core/session.h"
 #include "datagen/planted.h"
+#include "graph/clique.h"
 #include "qar/equidepth.h"
 
 namespace dar {
@@ -90,7 +91,8 @@ void BM_MaximalCliques(benchmark::State& state) {
   for (double d0 : phase1->effective_d0) opts.d0.push_back(d0 * 2.0);
   ClusteringGraph graph(phase1->clusters, opts);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph.MaximalCliques());
+    benchmark::DoNotOptimize(
+        graph::EnumerateMaximalCliques(graph.graph(), {}));
   }
   state.counters["nodes"] = static_cast<double>(graph.num_nodes());
   state.counters["edges"] = static_cast<double>(graph.num_edges());

@@ -10,9 +10,7 @@
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 
-#include "core/observer.h"
 #include "core/session.h"
 #include "datagen/planted.h"
 
@@ -41,13 +39,9 @@ int main(int argc, char** argv) {
     DarConfig config;
     config.memory_budget_bytes = mb << 20;
     config.frequency_fraction = 0.01;
-    // A CountersObserver sees every rebuild as it happens — the same
-    // number Phase1Result reports per tree after the fact.
-    auto counters = std::make_shared<CountersObserver>();
     auto session = Session::Builder()
                        .WithConfig(config)
                        .WithThreads(0)  // parts build concurrently
-                       .AddObserver(counters)
                        .Build();
     if (!session.ok()) {
       std::cerr << session.status() << "\n";
@@ -58,6 +52,10 @@ int main(int argc, char** argv) {
       std::cerr << phase1.status() << "\n";
       return 1;
     }
+    // The session's telemetry counts every rebuild as it happens — the
+    // same number Phase1Result reports per tree after the fact.
+    const int64_t rebuilds =
+        session->metrics().TakeSnapshot().CounterOr("phase1.rebuilds");
     size_t raw = 0;
     double max_threshold = 0;
     for (size_t p = 0; p < phase1->raw_cluster_counts.size(); ++p) {
@@ -67,7 +65,7 @@ int main(int argc, char** argv) {
     }
     std::cout << std::setw(10) << mb << "MB" << std::setw(12) << raw
               << std::setw(12) << phase1->clusters.size() << std::setw(10)
-              << counters->counters().tree_rebuilds << std::setw(14)
+              << rebuilds << std::setw(14)
               << std::fixed << std::setprecision(2) << max_threshold
               << std::setw(10) << phase1->seconds << "\n";
   }

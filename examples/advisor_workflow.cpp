@@ -4,18 +4,16 @@
 //      sample (no manual knob-tuning),
 //   2. Phase1Builder streams tuples in one at a time (the data never needs
 //      to be materialized as a Relation for Phase I),
-//   3. Session::RunPhase2 forms the rules, with a CountersObserver
-//      watching graph/clique events,
+//   3. Session::RunPhase2 forms the rules; the session's telemetry
+//      snapshot counts tree rebuilds, graph edges and cliques,
 //   4. MiningResultToJson exports everything for downstream tools.
 //
 // Run: ./build/examples/advisor_workflow [num_tuples] [seed]
 
 #include <cstdlib>
 #include <iostream>
-#include <memory>
 
 #include "core/advisor.h"
-#include "core/observer.h"
 #include "core/phase1_builder.h"
 #include "core/report.h"
 #include "core/session.h"
@@ -50,9 +48,18 @@ int main(int argc, char** argv) {
   config.degree_thresholds = advice->degree_thresholds;
   config.refine_clusters = true;
 
+  // The session both phases record their telemetry into.
+  auto session = Session::Builder().WithConfig(config).Build();
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+
   // 2. Stream Phase I row by row (here from the generated relation; in a
   //    real deployment, from a cursor or a file).
-  auto builder = Phase1Builder::Make(config, schema, data->partition);
+  auto builder = Phase1Builder::Make(
+      config, schema, data->partition, /*executor=*/nullptr,
+      telemetry::TelemetryContext(&session->metrics()));
   if (!builder.ok()) {
     std::cerr << builder.status() << "\n";
     return 1;
@@ -70,24 +77,17 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 3. Phase II from the summaries, through a Session. The observer
-  //    receives every graph edge and clique as it is formed.
-  auto counters = std::make_shared<CountersObserver>();
-  auto session = Session::Builder()
-                     .WithConfig(config)
-                     .AddObserver(counters)
-                     .Build();
-  if (!session.ok()) {
-    std::cerr << session.status() << "\n";
-    return 1;
-  }
+  // 3. Phase II from the summaries, through the Session. Its telemetry
+  //    snapshot counts what both phases did.
   auto phase2 = session->RunPhase2(*phase1);
   if (!phase2.ok()) {
     std::cerr << phase2.status() << "\n";
     return 1;
   }
-  std::cout << "Observer saw " << counters->counters().graph_edges
-            << " graph edges and " << counters->counters().cliques_found
+  const telemetry::Snapshot snapshot = session->metrics().TakeSnapshot();
+  std::cout << "Telemetry saw " << snapshot.CounterOr("phase1.rebuilds")
+            << " tree rebuilds, " << snapshot.CounterOr("phase2.graph_edges")
+            << " graph edges and " << snapshot.CounterOr("phase2.cliques")
             << " cliques\n\n";
 
   DarMiningResult result{std::move(*phase1), std::move(*phase2)};

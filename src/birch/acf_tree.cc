@@ -451,9 +451,6 @@ Status AcfTree::Rebuild() {
   in_rebuild_ = false;
   if (!status.ok()) return status;
   DAR_VALIDATE_TREE();
-  if (options_.on_rebuild) {
-    options_.on_rebuild(rebuild_count_, threshold_);
-  }
   return status;
 }
 

@@ -1,7 +1,6 @@
 #ifndef DAR_BIRCH_ACF_TREE_H_
 #define DAR_BIRCH_ACF_TREE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,10 +39,6 @@ struct AcfTreeOptions {
   int64_t outlier_entry_min_n = 0;
   /// Safety cap on rebuilds per insert; exceeded => ResourceExhausted.
   int max_rebuilds_per_insert = 64;
-  /// Invoked after every threshold-raise rebuild with the tree's rebuild
-  /// count and its new threshold. Runs on whichever thread is inserting
-  /// into this tree.
-  std::function<void(int rebuild_count, double new_threshold)> on_rebuild;
 };
 
 /// Summary statistics for benchmarking, telemetry and tests.
@@ -85,7 +80,7 @@ class AcfTree {
   AcfTree& operator=(const AcfTree&) = delete;
 
   /// Deep copy of the tree's full state — nodes, leaf ACFs, outlier
-  /// buffers, counters and options (including any on_rebuild hook). The
+  /// buffers, counters and options. The
   /// clone evolves independently of the original; streaming re-mines clone
   /// each live tree and run the destructive finishing pipeline
   /// (FinishScan + extraction) on the copies, so ingestion can continue on

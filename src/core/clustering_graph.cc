@@ -44,8 +44,7 @@ std::vector<size_t> PairShardBounds(size_t n, size_t max_shards) {
 }  // namespace
 
 ClusteringGraph::ClusteringGraph(const ClusterSet& clusters,
-                                 const ClusteringGraphOptions& options)
-    : observer_(options.observer) {
+                                 const ClusteringGraphOptions& options) {
   size_t n = clusters.size();
   DAR_CHECK_EQ(options.d0.size(), clusters.num_parts());
 
@@ -129,44 +128,9 @@ ClusteringGraph::ClusteringGraph(const ClusterSet& clusters,
   for (const Shard& shard : shards) {
     comparisons_made_ += shard.made;
     comparisons_skipped_ += shard.skipped;
-    for (const auto& [i, j] : shard.edges) {
-      edges.emplace_back(i, j);
-      if (observer_ != nullptr) observer_->OnGraphEdge(i, j);
-    }
+    edges.insert(edges.end(), shard.edges.begin(), shard.edges.end());
   }
   graph_ = graph::Graph::FromEdges(n, edges);
-}
-
-graph::CliqueResult ClusteringGraph::EnumerateCliques(
-    graph::CliqueOptions options) const {
-  graph::CliqueResult result = graph::EnumerateMaximalCliques(graph_, options);
-  if (observer_ != nullptr) {
-    std::vector<size_t> clique;
-    for (const auto& c : result.cliques) {
-      clique.assign(c.begin(), c.end());
-      observer_->OnCliqueFound(clique);
-    }
-  }
-  return result;
-}
-
-std::vector<std::vector<size_t>> ClusteringGraph::MaximalCliques(
-    size_t max_cliques, bool* truncated) const {
-  graph::CliqueOptions options;
-  options.max_cliques = max_cliques;
-  // Historical budget mapping: a fired cap and a fired step budget both
-  // collapse into the single legacy `truncated` signal here.
-  options.max_steps = max_cliques != 0 ? 64 * max_cliques : 0;
-  graph::CliqueResult result = EnumerateCliques(options);
-  if (truncated != nullptr) {
-    *truncated = result.clique_cap_truncated || result.step_budget_truncated;
-  }
-  std::vector<std::vector<size_t>> cliques;
-  cliques.reserve(result.cliques.size());
-  for (const auto& c : result.cliques) {
-    cliques.emplace_back(c.begin(), c.end());
-  }
-  return cliques;
 }
 
 }  // namespace dar

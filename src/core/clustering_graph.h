@@ -8,8 +8,6 @@
 #include "birch/metrics.h"
 #include "common/executor.h"
 #include "core/model.h"
-#include "core/observer.h"
-#include "graph/clique.h"
 #include "graph/graph.h"
 #include "telemetry/context.h"
 
@@ -31,10 +29,6 @@ struct ClusteringGraphOptions {
   /// same way — so both the graph and its cliques are bit-identical for
   /// every executor.
   Executor* executor = nullptr;
-  /// Optional observer (not owned, may be null). OnGraphEdge and
-  /// OnCliqueFound fire from the coordinating thread, serially and in
-  /// deterministic order.
-  MiningObserver* observer = nullptr;
   /// Optional recording context (default: disabled). The pair sweep
   /// records per-shard wall times into the "phase2.shard_seconds"
   /// histogram and the clique engine its graph.* metrics; the
@@ -82,27 +76,10 @@ class ClusteringGraph {
   [[nodiscard]] int64_t comparisons_made() const { return comparisons_made_; }
   [[nodiscard]] int64_t comparisons_skipped() const { return comparisons_skipped_; }
 
-  /// Full-control enumeration: budgets, backend tuning, and executor come
-  /// from `options` (the constructor's executor/telemetry are *not*
-  /// implied — pass them again if wanted). Fires OnCliqueFound per kept
-  /// clique, in canonical order, from the calling thread.
-  [[nodiscard]] graph::CliqueResult EnumerateCliques(
-      graph::CliqueOptions options) const;
-
-  /// Legacy-shaped enumeration: all maximal cliques (each a sorted list
-  /// of node ids, list sorted lexicographically), serial, with the
-  /// historical budget mapping (`max_cliques` cap plus a 64x step
-  /// budget; 0 = unbounded). When either budget fires, `*truncated` (if
-  /// non-null) is set — callers that need to distinguish the two signals
-  /// use EnumerateCliques.
-  std::vector<std::vector<size_t>> MaximalCliques(
-      size_t max_cliques = 0, bool* truncated = nullptr) const;
-
  private:
   graph::Graph graph_;
   int64_t comparisons_made_ = 0;
   int64_t comparisons_skipped_ = 0;
-  MiningObserver* observer_ = nullptr;  // not owned; may be null
 };
 
 }  // namespace dar

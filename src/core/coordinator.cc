@@ -33,8 +33,8 @@ Result<MiningReport> Coordinator::MineSharded(
   // (executor = nullptr), fanned across the session's executor. Serial
   // shard builders + merges applied in shard order below make the result
   // a pure function of (data, config, num_shards) — never of the thread
-  // count. Shard builders run without observers; rebuild notifications
-  // fire from the merging builder, which carries the session's observers.
+  // count. Shard builders record no telemetry; the merging builder records
+  // into the session's registry.
   std::vector<std::optional<Phase1Builder>> shards(num_shards);
   DAR_RETURN_IF_ERROR(session.executor_->ParallelFor(
       num_shards, [&](size_t s) -> Status {
@@ -57,12 +57,11 @@ Result<MiningReport> Coordinator::MineSharded(
       }));
 
   // Merge in shard order into a fresh builder wired to the session's
-  // executor (so re-absorption part-parallelizes) and observers.
+  // executor (so re-absorption part-parallelizes) and registry.
   DAR_ASSIGN_OR_RETURN(
       Phase1Builder merged,
       Phase1Builder::Make(session.config_, rel.schema(), partition,
-                          session.executor_.get(), session.observer_or_null(),
-                          telemetry));
+                          session.executor_.get(), telemetry));
   for (auto& shard : shards) {
     DAR_RETURN_IF_ERROR(MergeBuilders(merged, *shard, telemetry));
   }
@@ -84,10 +83,6 @@ Result<MiningReport> Coordinator::MineSharded(
                                  report.result.phase2.rules));
   }
   report.telemetry = session.registry_->TakeSnapshot();
-  if (MiningObserver* observer = session.observer_or_null();
-      observer != nullptr) {
-    observer->OnRunComplete(report.telemetry);
-  }
   return report;
 }
 

@@ -37,8 +37,8 @@ class Coordinator {
   /// Shards `rel` into `num_shards` contiguous row ranges, builds one
   /// serial Phase-I state per shard (fanned across the session's
   /// executor), merges them in shard order, and runs Phase II once. The
-  /// per-shard builders run without observers; the merging builder uses
-  /// the session's observers and telemetry (merge.* series). Mirrors
+  /// per-shard builders record no telemetry; the merging builder records
+  /// into the session's registry (merge.* series). Mirrors
   /// Session::Mine: resets the session registry and reports one run.
   Result<MiningReport> MineSharded(const Relation& rel,
                                    const AttributePartition& partition,

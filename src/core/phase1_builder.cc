@@ -10,7 +10,7 @@ namespace dar {
 Result<Phase1Builder> Phase1Builder::Make(
     const DarConfig& config, const Schema& schema,
     const AttributePartition& partition, Executor* executor,
-    MiningObserver* observer, telemetry::TelemetryContext telemetry) {
+    telemetry::TelemetryContext telemetry) {
   if (partition.num_parts() == 0) {
     return Status::InvalidArgument("attribute partition is empty");
   }
@@ -43,27 +43,17 @@ Result<Phase1Builder> Phase1Builder::Make(
                                  ? config.initial_diameters[p]
                                  : 0.0;
     opts.outlier_entry_min_n = 0;  // adjusted as rows arrive
-    if (observer != nullptr) {
-      // Chain after any hook the caller put in config.tree.
-      auto user_hook = opts.on_rebuild;
-      opts.on_rebuild = [observer, user_hook, p](int count, double thresh) {
-        if (user_hook) user_hook(count, thresh);
-        observer->OnTreeRebuild(p, count, thresh);
-      };
-    }
-    trees.push_back(
-        std::make_unique<AcfTree>(layout, p, opts));
+    trees.push_back(std::make_unique<AcfTree>(layout, p, opts));
   }
   return Phase1Builder(config, partition, std::move(layout),
                        std::move(trees), schema.num_attributes(), executor,
-                       observer, telemetry);
+                       telemetry);
 }
 
 Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
                              std::shared_ptr<const AcfLayout> layout,
                              std::vector<std::unique_ptr<AcfTree>> trees,
                              size_t schema_width, Executor* executor,
-                             MiningObserver* observer,
                              telemetry::TelemetryContext telemetry)
     : config_(std::move(config)),
       partition_(std::move(partition)),
@@ -71,7 +61,6 @@ Phase1Builder::Phase1Builder(DarConfig config, AttributePartition partition,
       trees_(std::move(trees)),
       schema_width_(schema_width),
       executor_(executor),
-      observer_(observer),
       telemetry_(telemetry) {
   scratch_.resize(partition_.num_parts());
   for (size_t p = 0; p < partition_.num_parts(); ++p) {
@@ -127,7 +116,6 @@ Status Phase1Builder::ForEachPart(
 }
 
 Status Phase1Builder::FeedPart(const Relation& rel, size_t p) {
-  if (observer_ != nullptr) observer_->OnPhase1PartStart(p);
   // Sampled absorb latency: every 64th insert is individually timed. The
   // histogram handle is resolved once per part (the lookup locks), and
   // recording is lock-free and safe from this worker thread.
@@ -165,15 +153,10 @@ Status Phase1Builder::FeedPart(const Relation& rel, size_t p) {
       tree.set_outlier_entry_min_n(OutlierMinN(count));
     }
   }
-  telemetry::PartTimings timings;
-  timings.feed_seconds = feed_watch.ElapsedSeconds();
   if (telemetry::Histogram* feed_hist = telemetry_.GetHistogram(
           "phase1.feed_seconds", telemetry::Histogram::LatencyBounds());
       feed_hist != nullptr) {
-    feed_hist->Record(timings.feed_seconds);
-  }
-  if (observer_ != nullptr) {
-    observer_->OnPhase1PartDone(p, tree.Stats(), timings);
+    feed_hist->Record(feed_watch.ElapsedSeconds());
   }
   return Status::OK();
 }

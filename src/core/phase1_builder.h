@@ -1,6 +1,7 @@
 #ifndef DAR_CORE_PHASE1_BUILDER_H_
 #define DAR_CORE_PHASE1_BUILDER_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "common/stopwatch.h"
 #include "core/config.h"
 #include "core/model.h"
-#include "core/observer.h"
 #include "relation/partition.h"
 #include "relation/relation.h"
 #include "telemetry/context.h"
@@ -37,19 +37,18 @@ namespace dar {
 /// (and everything downstream) are bit-identical to a serial run.
 ///
 /// Session::RunPhase1 feeds a Relation through this builder with the
-/// session's executor and observers.
+/// session's executor and metrics registry.
 class Phase1Builder {
  public:
   /// Validates the configuration and builds one ACF-tree per part.
-  /// `executor` and `observer` are optional non-owning pointers that must
-  /// outlive the builder; null means serial / no callbacks. `telemetry` is
+  /// `executor` is an optional non-owning pointer that must outlive the
+  /// builder; null means serial. `telemetry` is
   /// an optional recording context (default: disabled); the batch
   /// AddRelation/Finish path records per-part insert/split/rebuild
   /// counters, tree heights and sampled absorb latencies through it.
   static Result<Phase1Builder> Make(
       const DarConfig& config, const Schema& schema,
       const AttributePartition& partition, Executor* executor = nullptr,
-      MiningObserver* observer = nullptr,
       telemetry::TelemetryContext telemetry = {});
 
   Phase1Builder(Phase1Builder&&) = default;
@@ -99,7 +98,6 @@ class Phase1Builder {
                 std::shared_ptr<const AcfLayout> layout,
                 std::vector<std::unique_ptr<AcfTree>> trees,
                 size_t schema_width, Executor* executor,
-                MiningObserver* observer,
                 telemetry::TelemetryContext telemetry);
 
   // Keeps each tree's outlier paging threshold in step with the running
@@ -131,8 +129,7 @@ class Phase1Builder {
   std::shared_ptr<const AcfLayout> layout_;
   std::vector<std::unique_ptr<AcfTree>> trees_;
   size_t schema_width_;
-  Executor* executor_ = nullptr;       // not owned; may be null
-  MiningObserver* observer_ = nullptr; // not owned; may be null
+  Executor* executor_ = nullptr;  // not owned; may be null
   telemetry::TelemetryContext telemetry_;  // disabled by default
   int64_t rows_added_ = 0;
   Stopwatch watch_;

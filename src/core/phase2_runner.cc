@@ -20,7 +20,6 @@ Result<Phase2Result> RunPhase2OnSummaries(const Phase1Result& phase1,
   graph_opts.metric = config.metric;
   graph_opts.prune_low_density_images = config.prune_low_density_images;
   graph_opts.executor = options.executor;
-  graph_opts.observer = options.observer;
   graph_opts.telemetry = telem;
   graph_opts.d0.reserve(phase1.effective_d0.size());
   for (double d0 : phase1.effective_d0) {
@@ -37,7 +36,8 @@ Result<Phase2Result> RunPhase2OnSummaries(const Phase1Result& phase1,
   clique_opts.max_steps = config.max_cliques != 0 ? 64 * config.max_cliques : 0;
   clique_opts.executor = options.executor;
   clique_opts.telemetry = telem;
-  graph::CliqueResult cliques = graph.EnumerateCliques(clique_opts);
+  graph::CliqueResult cliques =
+      graph::EnumerateMaximalCliques(graph.graph(), clique_opts);
   out.clique_cap_truncated = cliques.clique_cap_truncated;
   out.clique_steps_truncated = cliques.step_budget_truncated;
   out.cliques_truncated =

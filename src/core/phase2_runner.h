@@ -6,17 +6,14 @@
 #include "core/config.h"
 #include "core/miner_result.h"
 #include "core/model.h"
-#include "core/observer.h"
 #include "telemetry/context.h"
 
 namespace dar {
 
 /// Everything Phase II needs besides the summaries themselves. All
-/// pointers are optional and non-owning; null means serial / no callbacks /
-/// no recording.
+/// pointers are optional and non-owning; null means serial / no recording.
 struct Phase2RunOptions {
   Executor* executor = nullptr;
-  MiningObserver* observer = nullptr;
   telemetry::TelemetryContext telemetry;
 };
 

@@ -11,20 +11,12 @@
 
 namespace dar {
 
-Session::Builder& Session::Builder::AddObserver(
-    std::shared_ptr<MiningObserver> observer) {
-  if (observer != nullptr) observers_.push_back(std::move(observer));
-  return *this;
-}
-
 Result<Session> Session::Builder::Build() const {
   DAR_RETURN_IF_ERROR(config_.Validate());
   std::shared_ptr<Executor> executor =
       executor_ != nullptr ? executor_
                            : std::make_shared<SerialExecutor>();
-  auto observers = std::make_shared<ObserverList>();
-  for (const auto& o : observers_) observers->Add(o);
-  return Session(config_, std::move(executor), std::move(observers),
+  return Session(config_, std::move(executor),
                  std::make_shared<telemetry::MetricsRegistry>());
 }
 
@@ -36,7 +28,6 @@ Result<Phase1Result> Session::RunPhase1(
   DAR_ASSIGN_OR_RETURN(
       Phase1Builder builder,
       Phase1Builder::Make(config_, rel.schema(), partition, executor_.get(),
-                          observer_or_null(),
                           telemetry::TelemetryContext(registry_.get())));
   DAR_RETURN_IF_ERROR(builder.AddRelation(rel));
   return std::move(builder).Finish();
@@ -47,7 +38,6 @@ Result<Phase2Result> Session::RunPhase2(const Phase1Result& phase1) const {
   // dar::stream re-mines through as well.
   Phase2RunOptions options;
   options.executor = executor_.get();
-  options.observer = observer_or_null();
   options.telemetry = telemetry::TelemetryContext(registry_.get());
   return RunPhase2OnSummaries(phase1, config_, options);
 }
@@ -87,9 +77,6 @@ Result<MiningReport> Session::Mine(
                                          report.result.phase2.rules));
   }
   report.telemetry = registry_->TakeSnapshot();
-  if (MiningObserver* observer = observer_or_null(); observer != nullptr) {
-    observer->OnRunComplete(report.telemetry);
-  }
   return report;
 }
 

@@ -12,7 +12,6 @@
 #include "core/miner_result.h"
 #include "core/mining_report.h"
 #include "core/model.h"
-#include "core/observer.h"
 #include "core/rules.h"
 #include "relation/partition.h"
 #include "relation/relation.h"
@@ -27,16 +26,15 @@ class StreamingMiner;   // stream/streaming_miner.h
 struct RestoredStream;  // stream/streaming_miner.h
 
 /// The library's mining facade: a validated DarConfig, an Executor that
-/// decides how the two phases use the hardware, observers receiving
-/// progress/metrics callbacks, and a MetricsRegistry both phases record
-/// into. Construct through the fluent Builder:
+/// decides how the two phases use the hardware, and a MetricsRegistry both
+/// phases record into — the one channel a run reports progress through.
+/// Construct through the fluent Builder:
 ///
 ///     DAR_ASSIGN_OR_RETURN(
 ///         dar::Session session,
 ///         dar::Session::Builder()
 ///             .WithConfig(config)
 ///             .WithThreads(8)                 // or .WithExecutor(...)
-///             .AddObserver(my_observer)       // optional
 ///             .Build());                      // validates the config
 ///     DAR_ASSIGN_OR_RETURN(MiningReport report,
 ///                          session.Mine(rel, partition));
@@ -73,11 +71,6 @@ class Session {
       return WithExecutor(MakeExecutor(num_threads));
     }
 
-    /// Registers an observer; may be called repeatedly. Observers are
-    /// invoked in registration order. See observer.h for which callbacks
-    /// can fire concurrently.
-    Builder& AddObserver(std::shared_ptr<MiningObserver> observer);
-
     /// Validates the config (DarConfig::Validate) and assembles the
     /// session; refuses to construct on any invalid knob.
     [[nodiscard]] Result<Session> Build() const;
@@ -85,14 +78,13 @@ class Session {
    private:
     DarConfig config_;
     std::shared_ptr<Executor> executor_;
-    std::vector<std::shared_ptr<MiningObserver>> observers_;
   };
 
   /// Runs both phases on `rel` under the user's attribute partitioning
   /// and returns the results bundled with the run's telemetry snapshot.
-  /// The registry is reset at the start of the run and observers receive
-  /// OnRunComplete(snapshot) exactly once at the end, so each Mine call
-  /// reports one run. Concurrent Mine calls on one Session would share
+  /// The registry is reset at the start of the run, so each Mine call
+  /// reports one run; poll metrics().TakeSnapshot() from another thread
+  /// for live progress. Concurrent Mine calls on one Session would share
   /// (and race on resetting) the registry — run them on separate
   /// Sessions.
   Result<MiningReport> Mine(const Relation& rel,
@@ -116,10 +108,10 @@ class Session {
   /// index) on a configurable cadence — ingest-while-serving, no rescans
   /// (see stream/streaming_miner.h for the threading contract).
   ///
-  /// The stream records into the session's registry cumulatively; do not
-  /// interleave Mine() calls (which Reset() the registry) with an open
-  /// stream on the same Session. Defined in src/stream/ — callers link the
-  /// umbrella `dar` target.
+  /// The stream records into the session's registry cumulatively. A Mine()
+  /// call on the same Session zeroes the registry (the stream's handles
+  /// stay valid) so the stream's counters restart from that point.
+  /// Defined in src/stream/ — callers link the umbrella `dar` target.
   [[nodiscard]] Result<std::unique_ptr<StreamingMiner>> OpenStream(
       const Schema& schema, const AttributePartition& partition,
       StreamConfig stream_config = {}) const;
@@ -135,8 +127,8 @@ class Session {
       const StreamingMiner& stream, const std::string& path,
       std::span<const Dictionary> dictionaries = {}) const;
 
-  /// Reopens a checkpointed stream under THIS session's config, executor,
-  /// registry and observers: restored summaries re-mine to rules
+  /// Reopens a checkpointed stream under THIS session's config, executor
+  /// and registry: restored summaries re-mine to rules
   /// bit-identical to the saved stream's when the config matches, and warm
   /// re-mine under this session's thresholds when it does not (no data
   /// access either way — Thm 6.1). Any corruption of the file surfaces as
@@ -171,26 +163,17 @@ class Session {
 
  private:
   // The coordinator drives the session's private pipeline pieces
-  // (observer_or_null, registry) when orchestrating sharded runs.
+  // (registry) when orchestrating sharded runs.
   friend class Coordinator;
 
   Session(DarConfig config, std::shared_ptr<Executor> executor,
-          std::shared_ptr<ObserverList> observers,
           std::shared_ptr<telemetry::MetricsRegistry> registry)
       : config_(std::move(config)),
         executor_(std::move(executor)),
-        observers_(std::move(observers)),
         registry_(std::move(registry)) {}
-
-  // The observer to hand to pipeline stages: null when none registered.
-  [[nodiscard]] MiningObserver* observer_or_null() const {
-    return observers_ != nullptr && !observers_->empty() ? observers_.get()
-                                                         : nullptr;
-  }
 
   DarConfig config_;
   std::shared_ptr<Executor> executor_;
-  std::shared_ptr<ObserverList> observers_;
   std::shared_ptr<telemetry::MetricsRegistry> registry_;
 };
 

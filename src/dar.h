@@ -49,7 +49,6 @@
 #include "core/miner_result.h"   // IWYU pragma: export
 #include "core/mining_report.h"  // IWYU pragma: export
 #include "core/model.h"          // IWYU pragma: export
-#include "core/observer.h"       // IWYU pragma: export
 #include "core/phase1_builder.h"    // IWYU pragma: export
 #include "core/session.h"        // IWYU pragma: export
 #include "core/report.h"         // IWYU pragma: export

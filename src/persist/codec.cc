@@ -81,7 +81,6 @@ void WriteTreeOptions(WireWriter& w, const AcfTreeOptions& o) {
   w.I32(o.max_rebuilds_per_insert);
 }
 
-// on_rebuild is not on the wire; the caller re-wires it after decode.
 Result<AcfTreeOptions> ReadTreeOptions(WireReader& r) {
   AcfTreeOptions o;
   DAR_ASSIGN_OR_RETURN(o.branching_factor, r.I32());
@@ -316,7 +315,7 @@ Result<std::unique_ptr<Node>> PersistPeer::DecodeNode(
 //   8   i32  leaf_capacity            |
 //   12  f64  initial_threshold        |
 //   20  u64  memory_budget_bytes      |  AcfTreeOptions
-//   28  f64  threshold_growth         |  (on_rebuild not serialized)
+//   28  f64  threshold_growth         |
 //   36  i64  outlier_entry_min_n      |
 //   44  i32  max_rebuilds_per_insert /
 //   48  f64  threshold
@@ -345,7 +344,7 @@ void PersistPeer::EncodeTree(const AcfTree& tree, WireWriter& w) {
 
 Result<std::unique_ptr<AcfTree>> PersistPeer::DecodeTree(
     WireReader& r, std::shared_ptr<const AcfLayout> layout,
-    size_t expect_part, std::function<void(int, double)> on_rebuild) {
+    size_t expect_part) {
   if (layout == nullptr || expect_part >= layout->num_parts()) {
     return Status::InvalidArgument(
         "DecodeTree: expect_part " + std::to_string(expect_part) +
@@ -358,7 +357,6 @@ Result<std::unique_ptr<AcfTree>> PersistPeer::DecodeTree(
         std::to_string(expect_part));
   }
   DAR_ASSIGN_OR_RETURN(AcfTreeOptions options, ReadTreeOptions(r));
-  options.on_rebuild = std::move(on_rebuild);
 
   double threshold;
   int rebuild_count;
@@ -446,7 +444,7 @@ void PersistPeer::EncodeBuilder(const Phase1Builder& builder, WireWriter& w) {
 Result<Phase1Builder> PersistPeer::DecodeBuilder(
     WireReader& r, const DarConfig& config, const Schema& schema,
     const AttributePartition& partition, Executor* executor,
-    MiningObserver* observer, telemetry::TelemetryContext telemetry) {
+    telemetry::TelemetryContext telemetry) {
   DAR_ASSIGN_OR_RETURN(int64_t rows_added, r.I64());
   DAR_ASSIGN_OR_RETURN(uint32_t num_parts, r.U32());
   if (rows_added < 0) {
@@ -476,16 +474,6 @@ Result<Phase1Builder> PersistPeer::DecodeBuilder(
     DAR_ASSIGN_OR_RETURN(uint64_t blob_len, r.U64());
     DAR_ASSIGN_OR_RETURN(WireReader blob,
                          r.Slice(static_cast<size_t>(blob_len)));
-    // Hooks are not serialized; re-wire them exactly as Phase1Builder::Make
-    // does, from the *restoring* config and observer.
-    std::function<void(int, double)> on_rebuild = config.tree.on_rebuild;
-    if (observer != nullptr) {
-      auto user_hook = std::move(on_rebuild);
-      on_rebuild = [observer, user_hook, p](int count, double thresh) {
-        if (user_hook) user_hook(count, thresh);
-        observer->OnTreeRebuild(p, count, thresh);
-      };
-    }
     auto tree = persist::DecodeTree(blob, layout, p);
     if (!tree.ok()) {
       return Status(tree.status().code(), "part " + std::to_string(p) +
@@ -494,14 +482,13 @@ Result<Phase1Builder> PersistPeer::DecodeBuilder(
     }
     DAR_RETURN_IF_ERROR(
         blob.ExpectEnd("part " + std::to_string(p) + " tree blob"));
-    (*tree)->options_.on_rebuild = std::move(on_rebuild);
     trees.push_back(std::move(*tree));
   }
   DAR_RETURN_IF_ERROR(r.ExpectEnd("builder section"));
 
   Phase1Builder builder(config, partition, std::move(layout),
                         std::move(trees), schema.num_attributes(), executor,
-                        observer, telemetry);
+                        telemetry);
   builder.rows_added_ = rows_added;
   return builder;
 }
@@ -521,7 +508,7 @@ Result<std::unique_ptr<AcfTree>> DecodeTree(
     size_t expect_part) {
   DAR_ASSIGN_OR_RETURN(
       std::unique_ptr<AcfTree> tree,
-      PersistPeer::DecodeTree(r, std::move(layout), expect_part, {}));
+      PersistPeer::DecodeTree(r, std::move(layout), expect_part));
 #ifdef DAR_VALIDATE_INVARIANTS
   // A CRC catches flipped bits, not semantically wrong (e.g. version-
   // skewed) trees: under validation builds every decoded tree must also
@@ -741,10 +728,10 @@ std::string EncodeBuilderSection(const Phase1Builder& builder) {
 Result<Phase1Builder> DecodeBuilderSection(
     std::string_view bytes, const DarConfig& config, const Schema& schema,
     const AttributePartition& partition, Executor* executor,
-    MiningObserver* observer, telemetry::TelemetryContext telemetry) {
+    telemetry::TelemetryContext telemetry) {
   WireReader r(bytes);
   return PersistPeer::DecodeBuilder(r, config, schema, partition, executor,
-                                    observer, telemetry);
+                                    telemetry);
 }
 
 namespace {

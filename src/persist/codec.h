@@ -14,7 +14,6 @@
 #include "core/config.h"
 #include "core/miner_result.h"
 #include "core/model.h"
-#include "core/observer.h"
 #include "core/phase1_builder.h"
 #include "persist/wire.h"
 #include "relation/partition.h"
@@ -52,9 +51,7 @@ Result<std::vector<Dictionary>> DecodeDictionariesSection(
 Result<AttributePartition> DecodePartitionSection(std::string_view bytes,
                                                   const Schema& schema);
 
-/// Serializes every numeric/vector knob. AcfTreeOptions::on_rebuild is a
-/// std::function and is deliberately NOT serialized — restore re-wires
-/// hooks from the restoring session (see stream_checkpoint.cc).
+/// Serializes every numeric/vector knob.
 [[nodiscard]] std::string EncodeConfigSection(const DarConfig& config);
 Result<DarConfig> DecodeConfigSection(std::string_view bytes);
 
@@ -99,13 +96,10 @@ Result<std::unique_ptr<AcfTree>> DecodeTree(
 /// *restoring* session's config — pass the original config for exact
 /// continuation, or a config with different d0/frequency thresholds for
 /// warm re-mining over the same summaries without data access. Tree
-/// structure/options come from the file; on_rebuild hooks are re-wired
-/// from `config.tree.on_rebuild` and `observer` exactly as
-/// Phase1Builder::Make wires them.
+/// structure/options come from the file.
 Result<Phase1Builder> DecodeBuilderSection(
     std::string_view bytes, const DarConfig& config, const Schema& schema,
     const AttributePartition& partition, Executor* executor = nullptr,
-    MiningObserver* observer = nullptr,
     telemetry::TelemetryContext telemetry = {});
 
 // --- mining results (RuleSnapshot payload) ---

@@ -18,8 +18,7 @@ Status Contextualize(const std::string& path, const Status& status) {
 }
 
 /// Name of the first knob on which the two configs disagree, or "" when
-/// they agree on every serialized knob (tree.on_rebuild is a process-local
-/// hook and is never serialized or compared).
+/// they agree on every serialized knob.
 std::string FirstConfigDiff(const DarConfig& a, const DarConfig& b) {
   if (a.memory_budget_bytes != b.memory_budget_bytes)
     return "memory_budget_bytes";
@@ -182,7 +181,7 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
                        first.reader.Section(SectionId::kBuilder));
   auto builder_or = DecodeBuilderSection(
       builder_bytes, effective, first.schema, first.partition,
-      options.executor, options.observer, telemetry);
+      options.executor, telemetry);
   if (!builder_or.ok()) return Contextualize(paths[0], builder_or.status());
   Phase1Builder merged = std::move(builder_or).ValueOrDie();
   if (merged.rows_added() == 0) {
@@ -316,7 +315,6 @@ Result<MiningReport> Coordinator::MineFromCheckpoints(
   persist::MergeOptions options;
   options.config = &session.config_;
   options.executor = session.executor_.get();
-  options.observer = session.observer_or_null();
   options.telemetry = telemetry;
   DAR_ASSIGN_OR_RETURN(persist::MergedCheckpoint merged,
                        persist::MergeCheckpoints(paths, options));
@@ -330,10 +328,6 @@ Result<MiningReport> Coordinator::MineFromCheckpoints(
   // rescan (config.count_rule_support) cannot run: support counts stay at
   // their unset value.
   report.telemetry = session.registry_->TakeSnapshot();
-  if (MiningObserver* observer = session.observer_or_null();
-      observer != nullptr) {
-    observer->OnRunComplete(report.telemetry);
-  }
   return report;
 }
 

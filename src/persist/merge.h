@@ -8,7 +8,6 @@
 #include "common/executor.h"
 #include "common/result.h"
 #include "core/config.h"
-#include "core/observer.h"
 #include "core/phase1_builder.h"
 #include "persist/codec.h"
 #include "relation/partition.h"
@@ -35,8 +34,6 @@ struct MergeOptions {
   const DarConfig* config = nullptr;
   /// Executor for the merged builder (part-parallel merge + Finish).
   Executor* executor = nullptr;
-  /// Observer wired into the merged builder's rebuild hooks.
-  MiningObserver* observer = nullptr;
   /// Records merge.* counters/histograms when enabled.
   telemetry::TelemetryContext telemetry;
 };

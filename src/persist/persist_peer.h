@@ -1,7 +1,6 @@
 #ifndef DAR_PERSIST_PERSIST_PEER_H_
 #define DAR_PERSIST_PERSIST_PEER_H_
 
-#include <functional>
 #include <memory>
 
 #include "birch/acf.h"
@@ -38,8 +37,7 @@ struct PersistPeer {
   static void EncodeTree(const AcfTree& tree, persist::WireWriter& w);
   static Result<std::unique_ptr<AcfTree>> DecodeTree(
       persist::WireReader& r, std::shared_ptr<const AcfLayout> layout,
-      size_t expect_part,
-      std::function<void(int, double)> on_rebuild);
+      size_t expect_part);
 
   // --- Phase1Builder ---
   static void EncodeBuilder(const Phase1Builder& builder,
@@ -47,7 +45,7 @@ struct PersistPeer {
   static Result<Phase1Builder> DecodeBuilder(
       persist::WireReader& r, const DarConfig& config, const Schema& schema,
       const AttributePartition& partition, Executor* executor,
-      MiningObserver* observer, telemetry::TelemetryContext telemetry);
+      telemetry::TelemetryContext telemetry);
 
  private:
   // Node-recursion helpers. AcfTree::Node is private, so these are member

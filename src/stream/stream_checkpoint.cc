@@ -248,8 +248,7 @@ Status StreamingMiner::MaybeCheckpoint() {
 Result<RestoredStream> StreamingMiner::RestoreFromFile(
     const std::string& path, const DarConfig& config,
     std::shared_ptr<Executor> executor,
-    std::shared_ptr<telemetry::MetricsRegistry> registry,
-    MiningObserver* observer) {
+    std::shared_ptr<telemetry::MetricsRegistry> registry) {
   Stopwatch watch;
   DAR_RETURN_IF_ERROR(config.Validate());
   DAR_ASSIGN_OR_RETURN(persist::CheckpointReader reader,
@@ -321,7 +320,7 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
       Phase1Builder builder,
       persist::DecodeBuilderSection(
           builder_bytes, config, schema, partition,
-          executor != nullptr ? executor.get() : nullptr, observer,
+          executor != nullptr ? executor.get() : nullptr,
           telemetry::TelemetryContext(registry.get())));
   if (builder.rows_added() != state.rows_ingested) {
     return Status::InvalidArgument(
@@ -334,8 +333,7 @@ Result<RestoredStream> StreamingMiner::RestoreFromFile(
   telemetry::MetricsRegistry* reg = registry.get();
   auto stream = std::make_unique<StreamingMiner>(
       PrivateTag{}, config, state.stream_config, schema, partition,
-      std::move(executor), std::move(registry), observer,
-      std::move(builder));
+      std::move(executor), std::move(registry), std::move(builder));
   stream->rows_ingested_.store(state.rows_ingested,
                                std::memory_order_release);
   stream->rows_at_snapshot_.store(state.rows_at_snapshot,
@@ -416,8 +414,8 @@ Status Session::SaveCheckpoint(const StreamingMiner& stream,
 
 Result<RestoredStream> Session::RestoreCheckpoint(
     const std::string& path) const {
-  return StreamingMiner::RestoreFromFile(path, config_, executor_, registry_,
-                                         observer_or_null());
+  return StreamingMiner::RestoreFromFile(path, config_, executor_,
+                                         registry_);
 }
 
 }  // namespace dar

@@ -17,14 +17,13 @@ StreamingMiner::StreamingMiner(
     PrivateTag, DarConfig config, StreamConfig stream_config, Schema schema,
     AttributePartition partition, std::shared_ptr<Executor> executor,
     std::shared_ptr<telemetry::MetricsRegistry> registry,
-    MiningObserver* observer, Phase1Builder builder)
+    Phase1Builder builder)
     : config_(std::move(config)),
       stream_config_(std::move(stream_config)),
       schema_(std::move(schema)),
       partition_(std::move(partition)),
       executor_(std::move(executor)),
       registry_(std::move(registry)),
-      observer_(observer),
       builder_(std::move(builder)),
       retained_rows_(schema_) {
   if (registry_ != nullptr) {
@@ -55,8 +54,7 @@ Result<std::unique_ptr<StreamingMiner>> StreamingMiner::Make(
     const DarConfig& config, const Schema& schema,
     const AttributePartition& partition, StreamConfig stream_config,
     std::shared_ptr<Executor> executor,
-    std::shared_ptr<telemetry::MetricsRegistry> registry,
-    MiningObserver* observer) {
+    std::shared_ptr<telemetry::MetricsRegistry> registry) {
   DAR_RETURN_IF_ERROR(config.Validate());
   DAR_RETURN_IF_ERROR(stream_config.Validate());
   if (!stream_config.score_measures.empty() && !config.count_rule_support) {
@@ -69,14 +67,12 @@ Result<std::unique_ptr<StreamingMiner>> StreamingMiner::Make(
       Phase1Builder builder,
       Phase1Builder::Make(config, schema, partition,
                           executor != nullptr ? executor.get() : nullptr,
-                          observer,
                           telemetry::TelemetryContext(registry.get())));
   // The atomics rule out moves, so the stream lives on the heap from
   // birth; PrivateTag keeps construction funneled through Make.
   return std::make_unique<StreamingMiner>(
       PrivateTag{}, config, std::move(stream_config), schema, partition,
-      std::move(executor), std::move(registry), observer,
-      std::move(builder));
+      std::move(executor), std::move(registry), std::move(builder));
 }
 
 Status StreamingMiner::Ingest(const Relation& batch) {
@@ -133,7 +129,6 @@ Result<std::shared_ptr<const RuleSnapshot>> StreamingMiner::Remine() {
   DAR_ASSIGN_OR_RETURN(Phase1Result phase1, builder_.Snapshot());
   Phase2RunOptions options;
   options.executor = executor_ != nullptr ? executor_.get() : nullptr;
-  options.observer = observer_;
   options.telemetry = telemetry::TelemetryContext(registry_.get());
   DAR_ASSIGN_OR_RETURN(Phase2Result phase2,
                        RunPhase2OnSummaries(phase1, config_, options));
@@ -237,7 +232,7 @@ Result<std::unique_ptr<StreamingMiner>> Session::OpenStream(
     const Schema& schema, const AttributePartition& partition,
     StreamConfig stream_config) const {
   return StreamingMiner::Make(config_, schema, partition, stream_config,
-                              executor_, registry_, observer_or_null());
+                              executor_, registry_);
 }
 
 }  // namespace dar

@@ -11,7 +11,6 @@
 #include "common/executor.h"
 #include "common/result.h"
 #include "core/config.h"
-#include "core/observer.h"
 #include "core/phase1_builder.h"
 #include "quality/measure.h"
 #include "relation/partition.h"
@@ -93,15 +92,14 @@ struct RestoredStream {
 class StreamingMiner {
  public:
   /// Validates both configs and assembles the stream. `executor` may be
-  /// null (serial); `registry` may be null (telemetry disabled);
-  /// `observer` may be null. Prefer Session::OpenStream, which wires the
-  /// session's executor, registry and observers in.
+  /// null (serial); `registry` may be null (telemetry disabled). Prefer
+  /// Session::OpenStream, which wires the session's executor and registry
+  /// in.
   static Result<std::unique_ptr<StreamingMiner>> Make(
       const DarConfig& config, const Schema& schema,
       const AttributePartition& partition, StreamConfig stream_config,
       std::shared_ptr<Executor> executor,
-      std::shared_ptr<telemetry::MetricsRegistry> registry,
-      MiningObserver* observer = nullptr);
+      std::shared_ptr<telemetry::MetricsRegistry> registry);
 
   StreamingMiner(const StreamingMiner&) = delete;
   StreamingMiner& operator=(const StreamingMiner&) = delete;
@@ -158,8 +156,7 @@ class StreamingMiner {
   static Result<RestoredStream> RestoreFromFile(
       const std::string& path, const DarConfig& config,
       std::shared_ptr<Executor> executor,
-      std::shared_ptr<telemetry::MetricsRegistry> registry,
-      MiningObserver* observer = nullptr);
+      std::shared_ptr<telemetry::MetricsRegistry> registry);
 
   /// The schema this stream ingests under (what OpenStream was given).
   [[nodiscard]] const Schema& schema() const { return schema_; }
@@ -201,7 +198,7 @@ class StreamingMiner {
                  Schema schema, AttributePartition partition,
                  std::shared_ptr<Executor> executor,
                  std::shared_ptr<telemetry::MetricsRegistry> registry,
-                 MiningObserver* observer, Phase1Builder builder);
+                 Phase1Builder builder);
 
  private:
   // Snapshot readers go through dar::QueryService (serve/query_service.h),
@@ -250,7 +247,6 @@ class StreamingMiner {
   AttributePartition partition_;
   std::shared_ptr<Executor> executor_;  // may be null => serial
   std::shared_ptr<telemetry::MetricsRegistry> registry_;  // may be null
-  MiningObserver* observer_ = nullptr;  // not owned; may be null
   Phase1Builder builder_;  // writer-thread only
   // Every ingested tuple, kept only when retains_rows(): the §6.2 support
   // post-scan and the quality layer rescan it each re-mine. Memory is then

@@ -21,7 +21,7 @@ const char* UnitName(Unit unit) {
 }
 
 Histogram::Histogram(std::vector<double> bounds, Unit unit)
-    : bounds_(std::move(bounds)), unit_(unit) {
+    : Metric(unit), bounds_(std::move(bounds)) {
   DAR_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
       << "histogram bucket bounds must be ascending";
   buckets_.reserve(bounds_.size() + 1);
@@ -31,6 +31,7 @@ Histogram::Histogram(std::vector<double> bounds, Unit unit)
 }
 
 void Histogram::Record(double value) {
+  Show();
   // First bucket whose inclusive upper bound admits `value`; everything
   // above the last bound lands in the overflow bucket.
   const size_t idx = static_cast<size_t>(
@@ -42,6 +43,12 @@ void Histogram::Record(double value) {
   while (!sum_.compare_exchange_weak(expected, expected + value,
                                      std::memory_order_relaxed)) {
   }
+}
+
+void Histogram::Zero() {
+  for (auto& b : buckets_) b->store(0, std::memory_order_relaxed);
+  count_.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 std::vector<int64_t> Histogram::bucket_counts() const {
@@ -79,13 +86,17 @@ double Snapshot::GaugeOr(const std::string& name, double fallback) const {
 // case (the metric already exists — every lookup after a phase's first),
 // and only a miss upgrades to the exclusive lock to register the name.
 // Handles are stable unique_ptr targets, so a pointer found under the
-// shared lock stays valid after it is dropped.
+// shared lock stays valid after it is dropped. A lookup shows a metric
+// that Reset hid.
 
 Counter* MetricsRegistry::GetCounter(const std::string& name, Unit unit) {
   {
     const ReaderLock lock(mu_);
     const auto it = counters_.find(name);
-    if (it != counters_.end()) return it->second.get();
+    if (it != counters_.end()) {
+      it->second->Show();
+      return it->second.get();
+    }
   }
   const WriterLock lock(mu_);
   auto& slot = counters_[name];
@@ -97,7 +108,10 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name, Unit unit) {
   {
     const ReaderLock lock(mu_);
     const auto it = gauges_.find(name);
-    if (it != gauges_.end()) return it->second.get();
+    if (it != gauges_.end()) {
+      it->second->Show();
+      return it->second.get();
+    }
   }
   const WriterLock lock(mu_);
   auto& slot = gauges_[name];
@@ -111,7 +125,10 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   {
     const ReaderLock lock(mu_);
     const auto it = histograms_.find(name);
-    if (it != histograms_.end()) return it->second.get();
+    if (it != histograms_.end()) {
+      it->second->Show();
+      return it->second.get();
+    }
   }
   const WriterLock lock(mu_);
   auto& slot = histograms_[name];
@@ -127,12 +144,15 @@ Snapshot MetricsRegistry::TakeSnapshot() const {
   const ReaderLock lock(mu_);
   Snapshot snap;
   for (const auto& [name, counter] : counters_) {
+    if (!counter->live_.load(std::memory_order_relaxed)) continue;
     snap.counters[name] = {counter->value(), counter->unit()};
   }
   for (const auto& [name, gauge] : gauges_) {
+    if (!gauge->live_.load(std::memory_order_relaxed)) continue;
     snap.gauges[name] = {gauge->value(), gauge->unit()};
   }
   for (const auto& [name, hist] : histograms_) {
+    if (!hist->live_.load(std::memory_order_relaxed)) continue;
     Snapshot::HistogramValue value;
     value.bounds = hist->bounds();
     value.counts = hist->bucket_counts();
@@ -146,9 +166,18 @@ Snapshot MetricsRegistry::TakeSnapshot() const {
 
 void MetricsRegistry::Reset() {
   const WriterLock lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  histograms_.clear();
+  for (auto& [name, counter] : counters_) {
+    counter->value_.store(0, std::memory_order_relaxed);
+    counter->live_.store(false, std::memory_order_relaxed);
+  }
+  for (auto& [name, gauge] : gauges_) {
+    gauge->value_.store(0.0, std::memory_order_relaxed);
+    gauge->live_.store(false, std::memory_order_relaxed);
+  }
+  for (auto& [name, hist] : histograms_) {
+    hist->Zero();
+    hist->live_.store(false, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace telemetry

@@ -26,41 +26,63 @@ enum class Unit {
 /// Stable lowercase name for `unit` ("count", "seconds", "bytes").
 const char* UnitName(Unit unit);
 
+class MetricsRegistry;
+
+/// What the three metric kinds share: a unit, and whether the metric shows
+/// in snapshots. MetricsRegistry::Reset zeroes a metric in place and hides
+/// it; the next lookup or record shows it again. So a reset registry
+/// snapshots empty while every handle it gave out stays valid.
+class Metric {
+ public:
+  [[nodiscard]] Unit unit() const { return unit_; }
+
+ protected:
+  explicit Metric(Unit unit) : unit_(unit) {}
+  void Show() { live_.store(true, std::memory_order_relaxed); }
+
+ private:
+  friend class MetricsRegistry;
+  std::atomic<bool> live_{true};
+  Unit unit_;
+};
+
 /// A monotonic event counter. Increment is wait-free (relaxed atomics) and
 /// safe from any thread; the total is exact because increments commute.
-class Counter {
+class Counter : public Metric {
  public:
-  explicit Counter(Unit unit) : unit_(unit) {}
+  explicit Counter(Unit unit) : Metric(unit) {}
 
   void Increment(int64_t delta = 1) {
+    Show();
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   [[nodiscard]] int64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] Unit unit() const { return unit_; }
 
  private:
+  friend class MetricsRegistry;
   std::atomic<int64_t> value_{0};
-  Unit unit_;
 };
 
 /// A last-writer-wins instantaneous value (tree height, final threshold,
 /// phase wall-time). Set/value are atomic but not read-modify-write; use a
 /// Counter for anything accumulated concurrently.
-class Gauge {
+class Gauge : public Metric {
  public:
-  explicit Gauge(Unit unit) : unit_(unit) {}
+  explicit Gauge(Unit unit) : Metric(unit) {}
 
-  void Set(double value) { value_.store(value, std::memory_order_relaxed); }
+  void Set(double value) {
+    Show();
+    value_.store(value, std::memory_order_relaxed);
+  }
   [[nodiscard]] double value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] Unit unit() const { return unit_; }
 
  private:
+  friend class MetricsRegistry;
   std::atomic<double> value_{0.0};
-  Unit unit_;
 };
 
 /// A fixed-bucket histogram: `bounds` are ascending inclusive upper bounds,
@@ -68,7 +90,7 @@ class Gauge {
 /// bounds.size() + 1). Record is wait-free and thread-safe; bucket totals
 /// are exact, `sum` is accumulated with atomic compare-exchange so the
 /// total is a correct (order-dependent in the last ulps) float sum.
-class Histogram {
+class Histogram : public Metric {
  public:
   Histogram(std::vector<double> bounds, Unit unit);
 
@@ -81,17 +103,18 @@ class Histogram {
   [[nodiscard]] double sum() const {
     return sum_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] Unit unit() const { return unit_; }
 
   /// Default latency buckets: 1us..10s, one decade per pair of buckets.
   static std::vector<double> LatencyBounds();
 
  private:
+  friend class MetricsRegistry;
+  void Zero();
+
   std::vector<double> bounds_;
   std::vector<std::unique_ptr<std::atomic<int64_t>>> buckets_;
   std::atomic<int64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  Unit unit_;
 };
 
 /// A point-in-time copy of a registry's metrics, safe to keep after the
@@ -128,17 +151,19 @@ struct Snapshot {
 };
 
 /// A named family of metrics for one mining run. Lookup registers on first
-/// use and returns a stable pointer (the registry never deletes a metric
-/// until Reset/destruction); the returned handles are the hot-path API, so
-/// phases resolve their metrics once and then record lock-free.
+/// use and returns a stable pointer, valid for the registry's lifetime
+/// (Reset zeroes metrics, it never deletes one); the returned handles are
+/// the hot-path API, so phases resolve their metrics once and then record
+/// lock-free.
 ///
 /// Threading: Counter/Gauge/Histogram lookups take a reader/writer lock —
 /// shared when the metric already exists (the common case), exclusive only
 /// on a name's first registration — still, resolve handles once per phase,
 /// not per event; the handles themselves are safe to use from any thread.
 /// TakeSnapshot may run concurrently with recording and sees some
-/// consistent recent value of every metric. Reset must not race recording.
-/// The lock discipline is compile-checked (common/mutex.h).
+/// consistent recent value of every metric. A record racing Reset lands on
+/// either side of it. The lock discipline is compile-checked
+/// (common/mutex.h).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -156,8 +181,8 @@ class MetricsRegistry {
 
   [[nodiscard]] Snapshot TakeSnapshot() const;
 
-  /// Drops every metric. The next Get* re-registers from zero. Invalidates
-  /// previously returned handles — do not call while a run is recording.
+  /// Zeroes every metric in place and hides it from snapshots until it is
+  /// looked up or recorded again. Previously returned handles stay valid.
   void Reset();
 
  private:

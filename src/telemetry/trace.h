@@ -42,18 +42,6 @@ class TraceSpan {
   Gauge* gauge_;
 };
 
-/// Per-part Phase-I wall-clock timings, handed to
-/// MiningObserver::OnPhase1PartDone alongside the tree stats. Values are
-/// wall time and therefore run-dependent; the deterministic counters for
-/// the same part live in the telemetry::Snapshot.
-struct PartTimings {
-  /// Seconds spent feeding the part's rows into its ACF-tree.
-  double feed_seconds = 0;
-  /// Seconds spent finishing the part (outlier re-absorption, image
-  /// extraction, diameter summaries).
-  double finish_seconds = 0;
-};
-
 }  // namespace telemetry
 }  // namespace dar
 

@@ -7,6 +7,7 @@
 
 #include "common/random.h"
 #include "core/session.h"
+#include "graph/clique.h"
 
 namespace dar {
 namespace {
@@ -133,12 +134,12 @@ TEST(ClusteringGraphTest, PruningHeuristicPreservesResult) {
 // --- maximal cliques ---
 
 // Brute-force maximal cliques for reference.
-std::set<std::vector<size_t>> BruteMaximalCliques(
+std::set<std::vector<uint32_t>> BruteMaximalCliques(
     size_t n, const std::function<bool(size_t, size_t)>& edge) {
-  std::set<std::vector<size_t>> cliques;
+  std::set<std::vector<uint32_t>> cliques;
   for (uint64_t mask = 1; mask < (1ull << n); ++mask) {
-    std::vector<size_t> nodes;
-    for (size_t i = 0; i < n; ++i) {
+    std::vector<uint32_t> nodes;
+    for (uint32_t i = 0; i < n; ++i) {
       if (mask & (1ull << i)) nodes.push_back(i);
     }
     bool is_clique = true;
@@ -156,7 +157,7 @@ std::set<std::vector<size_t>> BruteMaximalCliques(
     for (size_t v = 0; v < n && maximal; ++v) {
       if (mask & (1ull << v)) continue;
       bool extends = true;
-      for (size_t u : nodes) {
+      for (uint32_t u : nodes) {
         if (!edge(u, v)) {
           extends = false;
           break;
@@ -216,8 +217,10 @@ TEST(CliqueTest, MatchesBruteForceOnRandomGraphs) {
             << "trial " << trial << " edge " << i << "," << j;
       }
     }
-    auto got_list = graph.MaximalCliques();
-    std::set<std::vector<size_t>> got(got_list.begin(), got_list.end());
+    graph::CliqueResult result =
+        graph::EnumerateMaximalCliques(graph.graph(), {});
+    std::set<std::vector<uint32_t>> got(result.cliques.begin(),
+                                        result.cliques.end());
     auto expect = BruteMaximalCliques(
         n, [&](size_t a, size_t b) { return bool(adj[a][b]); });
     EXPECT_EQ(got, expect) << "trial " << trial;
@@ -233,10 +236,10 @@ TEST(CliqueTest, IsolatedNodesAreTrivialCliques) {
   ClusteringGraphOptions opts;
   opts.d0 = {1.0, 1.0, 1.0};
   ClusteringGraph graph(set, opts);
-  auto cliques = graph.MaximalCliques();
+  auto cliques = graph::EnumerateMaximalCliques(graph.graph(), {}).cliques;
   ASSERT_EQ(cliques.size(), 2u);
-  EXPECT_EQ(cliques[0], (std::vector<size_t>{0}));
-  EXPECT_EQ(cliques[1], (std::vector<size_t>{1}));
+  EXPECT_EQ(cliques[0], (std::vector<uint32_t>{0}));
+  EXPECT_EQ(cliques[1], (std::vector<uint32_t>{1}));
 }
 
 TEST(CliqueTest, CapTruncatesLoudly) {
@@ -249,20 +252,23 @@ TEST(CliqueTest, CapTruncatesLoudly) {
   ClusteringGraphOptions opts;
   opts.d0 = {1.0, 1.0, 1.0};
   ClusteringGraph graph(set, opts);
-  bool truncated = false;
-  auto capped = graph.MaximalCliques(/*max_cliques=*/0, &truncated);
-  EXPECT_FALSE(truncated);
-  EXPECT_EQ(capped.size(), 1u);
+  graph::CliqueResult uncapped =
+      graph::EnumerateMaximalCliques(graph.graph(), {});
+  EXPECT_FALSE(uncapped.clique_cap_truncated);
+  EXPECT_FALSE(uncapped.step_budget_truncated);
+  EXPECT_EQ(uncapped.cliques.size(), 1u);
   // Build a graph with multiple maximal cliques and cap below the count.
   std::vector<FoundCluster> clusters2;
   clusters2.push_back(MakeCluster(layout, 0, 0, {{1, 999, 0}}));
   clusters2.push_back(MakeCluster(layout, 1, 1, {{999, 1, 0}}));
   ClusterSet set2(layout, std::move(clusters2));
   ClusteringGraph graph2(set2, opts);  // two isolated nodes => 2 cliques
-  truncated = false;
-  auto limited = graph2.MaximalCliques(/*max_cliques=*/1, &truncated);
-  EXPECT_TRUE(truncated);
-  EXPECT_EQ(limited.size(), 1u);
+  graph::CliqueOptions cap_one;
+  cap_one.max_cliques = 1;
+  graph::CliqueResult limited =
+      graph::EnumerateMaximalCliques(graph2.graph(), cap_one);
+  EXPECT_TRUE(limited.clique_cap_truncated);
+  EXPECT_EQ(limited.cliques.size(), 1u);
 }
 
 TEST(CliqueTest, CompleteGraphSingleClique) {
@@ -277,9 +283,9 @@ TEST(CliqueTest, CompleteGraphSingleClique) {
   opts.d0 = {1.0, 1.0, 1.0};
   ClusteringGraph graph(set, opts);
   EXPECT_EQ(graph.num_edges(), 3u);
-  auto cliques = graph.MaximalCliques();
+  auto cliques = graph::EnumerateMaximalCliques(graph.graph(), {}).cliques;
   ASSERT_EQ(cliques.size(), 1u);
-  EXPECT_EQ(cliques[0], (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(cliques[0], (std::vector<uint32_t>{0, 1, 2}));
 }
 
 }  // namespace

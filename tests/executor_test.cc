@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -88,27 +89,31 @@ TEST(ExecutorTest, ThreadPoolIsReusableAcrossLoops) {
 }
 
 TEST(ExecutorTest, ThreadPoolChunkingIsStaticAndContiguous) {
-  // With no work stealing, each worker owns one contiguous index range, so
-  // the set of distinct "first index seen by my thread" values is at most
-  // the worker count and every thread's indices are consecutive.
+  // The pool splits [0, n) evenly into 4 contiguous chunks, whichever
+  // worker pops each one (a worker may run two). So every index runs once,
+  // at most 4 threads run, and the owning thread can only change at a
+  // chunk start c*(n/4) + min(c, n%4).
   ThreadPoolExecutor ex(4);
   const size_t n = 1003;
   std::vector<std::thread::id> owner(n);
+  std::vector<std::atomic<int>> runs(n);
   ASSERT_TRUE(ex.ParallelFor(n, [&](size_t i) {
                   owner[i] = std::this_thread::get_id();
+                  runs[i].fetch_add(1);
                   return Status::OK();
                 }).ok());
+  for (size_t i = 0; i < n; ++i) EXPECT_EQ(runs[i].load(), 1) << i;
   std::set<std::thread::id> distinct(owner.begin(), owner.end());
   EXPECT_LE(distinct.size(), 4u);
-  // Contiguity: once the owner changes it never changes back.
-  std::set<std::thread::id> closed;
-  std::thread::id current = owner[0];
+  std::set<size_t> chunk_starts;
+  for (size_t c = 0; c < 4; ++c) {
+    chunk_starts.insert(c * (n / 4) + std::min<size_t>(c, n % 4));
+  }
   for (size_t i = 1; i < n; ++i) {
-    if (owner[i] == current) continue;
-    closed.insert(current);
-    current = owner[i];
-    EXPECT_EQ(closed.count(current), 0u) << "chunk for one thread split at "
-                                         << i;
+    if (owner[i] != owner[i - 1]) {
+      EXPECT_EQ(chunk_starts.count(i), 1u)
+          << "owner changed inside a chunk at " << i;
+    }
   }
 }
 

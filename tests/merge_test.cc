@@ -24,9 +24,12 @@
 #include "persist/merge.h"
 #include "persist/wire.h"
 #include "stream/streaming_miner.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
+
+using testutil::TempPath;
 
 // ---------------------------------------------------------------------
 // Workloads.
@@ -113,10 +116,6 @@ void ExpectSameRules(const std::vector<DistanceRule>& a,
     EXPECT_EQ(a[i].cooccurrence_slack, b[i].cooccurrence_slack);
     EXPECT_EQ(a[i].support_count, b[i].support_count);
   }
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 // Mines rows [begin, end) in a one-shot serial worker process stand-in:

@@ -22,9 +22,12 @@
 #include "persist/wire.h"
 #include "stream/streaming_miner.h"
 #include "stream_test_peer.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
+
+using testutil::TempPath;
 
 using persist::CheckpointReader;
 using persist::CheckpointWriter;
@@ -177,7 +180,7 @@ TEST(CheckpointIoTest, DuplicateSectionsRefused) {
 }
 
 TEST(CheckpointIoTest, FileRoundTripIsAtomic) {
-  const std::string path = testing::TempDir() + "/ckpt_io_test.darckpt";
+  const std::string path = TempPath("ckpt_io_test.darckpt");
   CheckpointWriter writer;
   writer.AddSection(SectionId::kConfig, "payload");
   size_t bytes = 0;
@@ -193,7 +196,7 @@ TEST(CheckpointIoTest, FileRoundTripIsAtomic) {
 
 TEST(CheckpointIoTest, OpenMissingFileIsIOError) {
   auto reader =
-      CheckpointReader::Open(testing::TempDir() + "/no_such_ckpt.darckpt");
+      CheckpointReader::Open(TempPath("no_such_ckpt.darckpt"));
   ASSERT_FALSE(reader.ok());
   EXPECT_TRUE(reader.status().IsIOError());
   EXPECT_NE(reader.status().message().find("no_such_ckpt"),
@@ -321,10 +324,6 @@ Result<Session> TestSession(int threads = 1) {
       .WithConfig(TestConfig())
       .WithThreads(threads)
       .Build();
-}
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
 }
 
 // Cadence disabled: tests publish explicitly via Remine().
@@ -511,8 +510,7 @@ TEST(StreamCheckpointTest, DictionariesTravelWithTheCheckpoint) {
 
 // Full restore attempt over possibly-corrupt bytes; must never crash.
 Status TryRestore(const std::string& bytes) {
-  const std::string path =
-      testing::TempDir() + "/fault_injected.ckpt";
+  const std::string path = TempPath("fault_injected.ckpt");
   WriteFileBytes(path, bytes);
   auto restored = StreamingMiner::RestoreFromFile(
       path, TestConfig(), /*executor=*/nullptr, /*registry=*/nullptr);

@@ -9,9 +9,12 @@
 #include "relation/partition.h"
 #include "relation/relation.h"
 #include "relation/schema.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
+
+using testutil::TempPath;
 
 Schema TestSchema() {
   return *Schema::Make({{"a", AttributeKind::kInterval},
@@ -331,8 +334,7 @@ TEST(CsvTest, SourceNamePrefixesParseErrors) {
 }
 
 TEST(CsvTest, ReadCsvFileErrorsNameThePath) {
-  const std::string path =
-      testing::TempDir() + "/dar_relation_test_malformed.csv";
+  const std::string path = TempPath("dar_relation_test_malformed.csv");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << "a,b\n1,not_a_number\n";

@@ -1,6 +1,6 @@
 // dar::Session: the determinism guarantee (bit-identical output for every
 // executor and thread count, including the telemetry snapshot's
-// deterministic JSON view), observer counter consistency, and
+// deterministic JSON view), snapshot counter consistency, and
 // streaming-vs-batch Phase I equivalence.
 
 #include "core/session.h"
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/executor.h"
-#include "core/observer.h"
 #include "core/phase1_builder.h"
 #include "datagen/planted.h"
 #include "telemetry/json.h"
@@ -107,13 +106,9 @@ std::string DeterministicJson(const MiningReport& report) {
 }
 
 Result<MiningReport> MineWithThreads(const PlantedDataset& data,
-                                     int threads,
-                                     std::shared_ptr<MiningObserver>
-                                         observer = nullptr) {
-  Session::Builder builder;
-  builder.WithConfig(TestConfig()).WithThreads(threads);
-  if (observer != nullptr) builder.AddObserver(std::move(observer));
-  auto session = builder.Build();
+                                     int threads) {
+  auto session =
+      Session::Builder().WithConfig(TestConfig()).WithThreads(threads).Build();
   if (!session.ok()) return session.status();
   return session->Mine(data.relation, data.partition);
 }
@@ -159,56 +154,33 @@ TEST(SessionTest, RepeatedRunsOnOnePoolAreIdentical) {
   EXPECT_EQ(DeterministicJson(*a), DeterministicJson(*b));
 }
 
-TEST(SessionTest, CountersObserverMatchesResultCounters) {
+// The snapshot is the run's one progress channel: its Phase-I rebuild and
+// Phase-II edge/clique series equal the result structs at every thread
+// count. A tight memory budget makes the trees rebuild, so the rebuild
+// series is checked against a nonzero total.
+TEST(SessionTest, SnapshotCountersMatchResultCounters) {
   PlantedDataset data = TestData();
+  DarConfig config = TestConfig();
+  config.memory_budget_bytes = 64 << 10;
   for (int threads : {1, 8}) {
-    auto counters = std::make_shared<CountersObserver>();
-    auto result = MineWithThreads(data, threads, counters);
+    auto session =
+        Session::Builder().WithConfig(config).WithThreads(threads).Build();
+    ASSERT_TRUE(session.ok());
+    auto result = session->Mine(data.relation, data.partition);
     ASSERT_TRUE(result.ok()) << result.status();
-    CountersObserver::Counters c = counters->counters();
-    const auto num_parts =
-        static_cast<int64_t>(result->phase1().tree_stats.size());
-    EXPECT_EQ(c.parts_started, num_parts) << "threads=" << threads;
-    EXPECT_EQ(c.parts_done, num_parts);
     int64_t rebuilds = 0;
     for (const auto& stats : result->phase1().tree_stats) {
       rebuilds += stats.rebuild_count;
     }
-    EXPECT_EQ(c.tree_rebuilds, rebuilds);
-    EXPECT_EQ(c.graph_edges,
-              static_cast<int64_t>(result->phase2().graph_edges));
-    EXPECT_EQ(c.cliques_found,
-              static_cast<int64_t>(result->phase2().cliques.size()));
-    EXPECT_EQ(c.runs_completed, 1);
-    // The snapshot views agree with the observer and the result structs.
-    EXPECT_EQ(result->tree_rebuilds(), rebuilds);
+    EXPECT_GT(rebuilds, 0) << "threads=" << threads;
+    EXPECT_EQ(result->telemetry.CounterOr("phase1.rebuilds"), rebuilds)
+        << "threads=" << threads;
     EXPECT_EQ(result->telemetry.CounterOr("phase2.graph_edges"),
               static_cast<int64_t>(result->phase2().graph_edges));
     EXPECT_EQ(result->telemetry.CounterOr("phase2.cliques"),
               static_cast<int64_t>(result->phase2().cliques.size()));
     EXPECT_GT(result->graph_comparisons_made(), 0);
   }
-}
-
-TEST(SessionTest, ObserversFireInRegistrationOrderForPhase2) {
-  // Phase-II callbacks are serialized; two observers must see identical
-  // event streams.
-  PlantedDataset data = TestData();
-  auto first = std::make_shared<CountersObserver>();
-  auto second = std::make_shared<CountersObserver>();
-  auto session = Session::Builder()
-                     .WithConfig(TestConfig())
-                     .WithThreads(2)
-                     .AddObserver(first)
-                     .AddObserver(second)
-                     .Build();
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->Mine(data.relation, data.partition).ok());
-  CountersObserver::Counters a = first->counters();
-  CountersObserver::Counters b = second->counters();
-  EXPECT_EQ(a.graph_edges, b.graph_edges);
-  EXPECT_EQ(a.cliques_found, b.cliques_found);
-  EXPECT_EQ(a.parts_done, b.parts_done);
 }
 
 // The satellite determinism pin: identical runs at 1 and 8 threads export
@@ -229,22 +201,6 @@ TEST(SessionTest, DeterministicJsonIdenticalAcrossThreadCounts) {
   const std::string full = telemetry::JsonExporter().Export(one->telemetry);
   EXPECT_NE(full.find("\"phase1.seconds\""), std::string::npos);
   EXPECT_EQ(json_one.find("\"phase1.seconds\""), std::string::npos);
-}
-
-// OnRunComplete fires exactly once per Mine call, after both phases.
-TEST(SessionTest, OnRunCompleteFiresExactlyOncePerRun) {
-  PlantedDataset data = TestData();
-  auto counters = std::make_shared<CountersObserver>();
-  auto session = Session::Builder()
-                     .WithConfig(TestConfig())
-                     .WithThreads(2)
-                     .AddObserver(counters)
-                     .Build();
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session->Mine(data.relation, data.partition).ok());
-  EXPECT_EQ(counters->counters().runs_completed, 1);
-  ASSERT_TRUE(session->Mine(data.relation, data.partition).ok());
-  EXPECT_EQ(counters->counters().runs_completed, 2);
 }
 
 TEST(SessionTest, StreamingAddRowMatchesBatchAddRelation) {

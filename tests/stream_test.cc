@@ -20,9 +20,12 @@
 #include "stream/rule_snapshot.h"
 #include "stream/streaming_miner.h"
 #include "stream_test_peer.h"
+#include "test_util.h"
 
 namespace dar {
 namespace {
+
+using testutil::TempPath;
 
 PlantedDataset TestData() {
   PlantedDataSpec spec = WbcdLikeSpec(/*num_attrs=*/4, /*clusters_per_attr=*/3,
@@ -196,6 +199,42 @@ TEST(StreamTest, CadenceAndGenerationAccounting) {
   EXPECT_EQ(telemetry.CounterOr("stream.ingest_rows"), 1600);
   EXPECT_EQ(telemetry.CounterOr("stream.remines"), 2);
   EXPECT_EQ(telemetry.GaugeOr("stream.generation"), 2.0);
+}
+
+// Mine resets the session registry the stream records into. The reset
+// zeroes metrics in place, so the stream's handles stay valid: it keeps
+// ingesting and re-mining, its counters restart from the reset, and its
+// rules still equal a one-shot Mine over everything it absorbed.
+TEST(StreamTest, MineOnSameSessionKeepsStreamUsable) {
+  PlantedDataset data = TestData();
+  const size_t half = data.relation.num_rows() / 2;
+  for (int threads : {1, 4}) {
+    auto session = TestSession(threads);
+    ASSERT_TRUE(session.ok());
+    auto stream = session->OpenStream(data.relation.schema(), data.partition,
+                                      Cadence(0));
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    ASSERT_TRUE((*stream)->Ingest(Slice(data.relation, 0, half)).ok());
+    ASSERT_TRUE((*stream)->Remine().ok());
+
+    auto report = session->Mine(data.relation, data.partition);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->telemetry.CounterOr("stream.ingest_rows", -1), -1)
+        << "the run's snapshot holds only the run's metrics";
+
+    const size_t rows = data.relation.num_rows();
+    ASSERT_TRUE((*stream)->Ingest(Slice(data.relation, half, rows)).ok());
+    auto snapshot = (*stream)->Remine();
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    ExpectSameRules((*snapshot)->rules(), report->rules());
+
+    auto telemetry = session->metrics().TakeSnapshot();
+    EXPECT_EQ(telemetry.CounterOr("stream.ingest_rows"),
+              static_cast<int64_t>(rows - half))
+        << "threads=" << threads;
+    EXPECT_EQ(telemetry.CounterOr("stream.remines"), 1);
+    EXPECT_EQ(telemetry.GaugeOr("stream.generation"), 2.0);
+  }
 }
 
 TEST(StreamTest, ManualRemineOnlyWhenCadenceDisabled) {
@@ -401,7 +440,7 @@ TEST(StreamTest, ConcurrentReadersSeeConsistentSnapshots) {
 TEST(StreamTest, KillRestoreContinueEqualsUninterruptedStream) {
   PlantedDataset data = TestData();
   const size_t total = data.relation.num_rows();  // 3000
-  const std::string ckpt = testing::TempDir() + "/stream_kill.ckpt";
+  const std::string ckpt = TempPath("stream_kill.ckpt");
 
   StreamConfig cadence;
   cadence.remine_every_rows = 500;
@@ -660,7 +699,7 @@ TEST(StreamQualityTest, InjectedDriftFlaggedAndStationaryControlQuiet) {
 // post-scan counts and scores equal the uninterrupted stream's.
 TEST(StreamQualityTest, RetainedRowsCheckpointRoundTrip) {
   PlantedDataset data = TestData();
-  const std::string ckpt = testing::TempDir() + "/stream_quality.ckpt";
+  const std::string ckpt = TempPath("stream_quality.ckpt");
 
   auto session = QualitySession();
   ASSERT_TRUE(session.ok());
@@ -693,7 +732,7 @@ TEST(StreamQualityTest, RetainedRowsCheckpointRoundTrip) {
 // loudly instead of publishing support_count = -1 (or wrong scores).
 TEST(StreamQualityTest, CheckpointWithoutRetainedRowsRefusesSupportConfig) {
   PlantedDataset data = TestData();
-  const std::string ckpt = testing::TempDir() + "/stream_nosupport.ckpt";
+  const std::string ckpt = TempPath("stream_nosupport.ckpt");
 
   auto plain_session = TestSession();  // count_rule_support = false
   ASSERT_TRUE(plain_session.ok());

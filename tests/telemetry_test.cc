@@ -107,11 +107,25 @@ TEST(RegistryTest, SnapshotCopiesValuesSorted) {
 
 TEST(RegistryTest, ResetDropsEverything) {
   MetricsRegistry registry;
-  registry.GetCounter("x")->Increment(5);
+  Counter* counter = registry.GetCounter("x");
+  Gauge* gauge = registry.GetGauge("g");
+  Histogram* hist = registry.GetHistogram("h", {1.0});
+  counter->Increment(5);
+  gauge->Set(2.0);
+  hist->Record(0.5);
   registry.Reset();
   Snapshot snap = registry.TakeSnapshot();
   EXPECT_TRUE(snap.counters.empty());
+  EXPECT_TRUE(snap.gauges.empty());
+  EXPECT_TRUE(snap.histograms.empty());
   EXPECT_EQ(registry.GetCounter("x")->value(), 0);
+  // Reset zeroes in place: a held handle stays valid, a lookup returns it,
+  // and recording through it shows the metric again.
+  EXPECT_EQ(registry.GetCounter("x"), counter);
+  EXPECT_EQ(hist->count(), 0);
+  EXPECT_EQ(hist->bucket_counts(), (std::vector<int64_t>{0, 0}));
+  gauge->Set(1.0);
+  EXPECT_EQ(registry.TakeSnapshot().GaugeOr("g", -1), 1.0);
 }
 
 TEST(JsonWriterTest, EscapesSpecialCharacters) {

@@ -1,7 +1,13 @@
 #ifndef DAR_TESTS_TEST_UTIL_H_
 #define DAR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/random.h"
@@ -9,6 +15,27 @@
 
 namespace dar {
 namespace testutil {
+
+/// Path of `name` inside this test process's own scratch directory:
+/// testing::TempDir() plus a pid-unique subdirectory, created on first use
+/// and removed at process exit. ctest runs every test in its own process,
+/// so tests that write files never share a path under `ctest -j`.
+inline std::string TempPath(const std::string& name) {
+  struct ScratchDir {
+    ScratchDir()
+        : path(::testing::TempDir() + "/dar_test_" +
+               std::to_string(static_cast<long>(::getpid()))) {
+      std::filesystem::create_directories(path);
+    }
+    ~ScratchDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+    std::string path;
+  };
+  static const ScratchDir dir;
+  return dir.path + "/" + name;
+}
 
 /// A set of points (row-major) used as brute-force reference input.
 using Points = std::vector<std::vector<double>>;
