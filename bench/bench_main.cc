@@ -37,7 +37,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/clustering_graph.h"
-#include "core/coordinator.h"
 #include "core/session.h"
 #include "datagen/graphs.h"
 #include "datagen/planted.h"
@@ -1036,15 +1035,15 @@ int MicroCliqueEnum(const BenchOptions& options,
 }
 
 // --- Suite: merge — distributed shard-merge scaling (ACF additivity,
-// Thm 6.1). For each shard count in {1,2,4,8}: (a) in-process
-// Coordinator::MineSharded over the session executor, and (b) the
-// multi-process path — N shard checkpoints written by independent
-// streams, then MergeCheckpoints + one Phase II via MineFromCheckpoints.
-// Both are checked against a single-node Mine baseline: the rule count
-// must match exactly (the planted data is float-valued, so degrees may
-// differ in ulps across *shard* counts, but the rule set must not). The
+// Thm 6.1). For each shard count in {1,2,4,8}: N shard checkpoints
+// written by independent streams, then MergeCheckpoints + one Phase II
+// via Session::MineFromCheckpoints. Each run is checked against a
+// single-node Mine baseline: the rule count must match exactly. The
+// planted data is float-valued, so regrouping tuples into shards may
+// move CF sums by ulps; at smoke scale the rule count still matches, at
+// full scale it does not yet (see DESIGN.md "Distributed mining"). The
 // telemetry view is deterministic for a fixed shard count at every
-// thread count — MineSharded is thread-count invariant by construction —
+// thread count — shard builders are serial and merged in shard order —
 // so CI byte-diffs the --no-timings output across 1 and 8 threads. ---
 
 int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
@@ -1087,23 +1086,7 @@ int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
       return 1;
     }
 
-    // (a) In-process: shard Phase I across the executor, merge, Phase II.
-    Stopwatch sharded_watch;
-    auto sharded = session->NewCoordinator().MineSharded(
-        data->relation, data->partition, shards);
-    const double sharded_seconds = sharded_watch.ElapsedSeconds();
-    if (!sharded.ok()) {
-      std::cerr << sharded.status() << "\n";
-      return 1;
-    }
-    if (sharded->result.phase2.rules.size() != baseline_rules) {
-      std::cerr << "merge bench: " << shards << "-shard MineSharded mined "
-                << sharded->result.phase2.rules.size() << " rules, single-node "
-                << baseline_rules << "\n";
-      return 1;
-    }
-
-    // (b) Multi-process stand-in: each shard's slice ingested by its own
+    // Multi-process stand-in: each shard's slice ingested by its own
     // stream and checkpointed, then merged from the files alone.
     std::vector<std::string> paths;
     Stopwatch save_watch;
@@ -1136,17 +1119,17 @@ int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
     const double save_seconds = save_watch.ElapsedSeconds();
 
     Stopwatch merge_watch;
-    auto merged = session->NewCoordinator().MineFromCheckpoints(paths);
+    auto merged = session->MineFromCheckpoints(paths);
     const double merge_seconds = merge_watch.ElapsedSeconds();
     if (!merged.ok()) {
       std::cerr << merged.status() << "\n";
       return 1;
     }
-    if (merged->result.phase2.rules.size() != baseline_rules) {
-      std::cerr << "merge bench: " << shards
-                << "-checkpoint merge mined "
-                << merged->result.phase2.rules.size() << " rules, single-node "
-                << baseline_rules << "\n";
+    const size_t merged_rules = merged->result.phase2.rules.size();
+    if (merged_rules != baseline_rules) {
+      std::cerr << "merge bench: " << shards << "-checkpoint merge mined "
+                << merged_rules << " rules, single-node " << baseline_rules
+                << "\n";
       return 1;
     }
     for (const std::string& path : paths) std::remove(path.c_str());
@@ -1157,14 +1140,11 @@ int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
                   {"attrs", static_cast<double>(attrs)},
                   {"clusters_per_attr", static_cast<double>(clusters)},
                   {"num_shards", static_cast<double>(shards)},
-                  {"rules", static_cast<double>(baseline_rules)}};
-    run.timings = {
-        {"single_node_seconds", baseline_seconds},
-        {"mine_sharded_seconds", sharded_seconds},
-        {"mine_sharded_speedup",
-         sharded_seconds > 0 ? baseline_seconds / sharded_seconds : 0.0},
-        {"checkpoint_save_seconds", save_seconds},
-        {"checkpoint_merge_mine_seconds", merge_seconds}};
+                  {"rules", static_cast<double>(merged_rules)},
+                  {"single_node_rules", static_cast<double>(baseline_rules)}};
+    run.timings = {{"single_node_seconds", baseline_seconds},
+                   {"checkpoint_save_seconds", save_seconds},
+                   {"checkpoint_merge_mine_seconds", merge_seconds}};
     // The checkpoint-merge run's own snapshot: merge.checkpoints /
     // merge.shards plus the usual phase1/phase2 counters, all
     // shard-deterministic.

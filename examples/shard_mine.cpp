@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "core/coordinator.h"
 #include "core/report.h"
 #include "core/session.h"
 #include "stream/streaming_miner.h"
@@ -162,7 +161,7 @@ int main(int argc, char** argv) {
   //    ACF-trees, and generate rules exactly once.
   auto session = Session::Builder().WithConfig(MakeConfig()).Build();
   if (!session.ok()) return Fail("session", session.status());
-  auto report = session->NewCoordinator().MineFromCheckpoints(ckpts);
+  auto report = session->MineFromCheckpoints(ckpts);
   if (!report.ok()) return Fail("merge-mine", report.status());
 
   // 3. Reference run: the same rows mined in one process. On integer

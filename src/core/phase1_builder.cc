@@ -189,6 +189,18 @@ Status Phase1Builder::MergeFrom(const Phase1Builder& other) {
     return Status::InvalidArgument(
         "cannot merge an empty Phase-I builder (no rows added)");
   }
+  if (rows_added_ == 0) {
+    // Re-inserting `other`'s leaf summaries into empty trees would let
+    // them re-absorb into each other under the tree threshold; adopting
+    // copies keeps the merge an identity.
+    layout_ = other.layout_;
+    DAR_RETURN_IF_ERROR(ForEachPart([&](size_t p) -> Status {
+      trees_[p] = other.trees_[p]->Clone();
+      return Status::OK();
+    }));
+    rows_added_ = other.rows_added_;
+    return Status::OK();
+  }
   DAR_RETURN_IF_ERROR(ForEachPart(
       [&](size_t p) { return trees_[p]->MergeFrom(*other.trees_[p]); }));
   rows_added_ += other.rows_added_;

@@ -22,7 +22,8 @@ namespace dar {
 /// budget *while* the single pass is in progress, so the data never needs
 /// to fit in memory and can come from a cursor, a file, or a socket.
 ///
-///     Phase1Builder builder(config, schema, partition);
+///     DAR_ASSIGN_OR_RETURN(Phase1Builder builder,
+///                          Phase1Builder::Make(config, schema, partition));
 ///     while (auto row = source.Next()) {
 ///       DAR_RETURN_IF_ERROR(builder.AddRow(*row));
 ///     }
@@ -69,8 +70,11 @@ class Phase1Builder {
   /// Eq. 3/7): each part's tree is merged summary-by-summary
   /// (AcfTree::MergeFrom) and the row count accumulated, so a subsequent
   /// Finish()/Snapshot() summarizes the union of both inputs without any
-  /// rescan. Part-parallel when an executor was given; `other` (which may
-  /// come from a decoded checkpoint of another process) is unchanged.
+  /// rescan. A builder with no rows yet adopts clones of `other`'s trees
+  /// and layout instead, so merging into an empty builder is an identity.
+  /// Refuses an empty `other` or a different schema width/partitioning.
+  /// Part-parallel when an executor was given; `other` (which may come
+  /// from a decoded checkpoint of another process) is unchanged.
   Status MergeFrom(const Phase1Builder& other);
 
   /// Re-absorbs outliers, optionally refines clusters, applies the
@@ -134,7 +138,6 @@ class Phase1Builder {
   int64_t rows_added_ = 0;
   Stopwatch watch_;
   PartedRow scratch_;
-  std::vector<double> buf_;
 };
 
 }  // namespace dar

@@ -21,7 +21,6 @@
 
 namespace dar {
 
-class Coordinator;      // core/coordinator.h
 class StreamingMiner;   // stream/streaming_miner.h
 struct RestoredStream;  // stream/streaming_miner.h
 
@@ -136,11 +135,15 @@ class Session {
   [[nodiscard]] Result<RestoredStream> RestoreCheckpoint(
       const std::string& path) const;
 
-  /// Distributed mining front-end (experimental tier): shard Phase I
-  /// across the executor or across processes via checkpoint files, merge
-  /// the summaries (ACF additivity), run Phase II once. The session must
-  /// outlive the returned coordinator. See core/coordinator.h.
-  [[nodiscard]] Coordinator NewCoordinator() const;
+  /// Distributed mining (experimental tier): merges N shard checkpoints
+  /// (persist::MergeCheckpoints, ACF additivity) under THIS session's
+  /// config and executor, then runs Phase II once on the merged summaries.
+  /// Worker processes SaveCheckpoint their shards; this call mines the
+  /// union without ever seeing a tuple, so rule support counts stay at -1
+  /// (no §6.2 rescan). Mirrors Mine: resets the registry and reports one
+  /// run. Defined in src/persist/ — callers link the umbrella `dar` target.
+  [[nodiscard]] Result<MiningReport> MineFromCheckpoints(
+      std::span<const std::string> paths) const;
 
   /// Optional §6.2 post-processing: rescans `rel` once and fills
   /// `support_count` of every rule with the number of tuples assigned to
@@ -162,10 +165,6 @@ class Session {
   }
 
  private:
-  // The coordinator drives the session's private pipeline pieces
-  // (registry) when orchestrating sharded runs.
-  friend class Coordinator;
-
   Session(DarConfig config, std::shared_ptr<Executor> executor,
           std::shared_ptr<telemetry::MetricsRegistry> registry)
       : config_(std::move(config)),

@@ -17,10 +17,10 @@
 ///   (persist/checkpoint_io.h — versioned independently of the library).
 ///
 ///   Experimental — may change signature or semantics without notice:
-///   the distributed mining layer (Coordinator, MergeTrees/MergeBuilders
-///   in core/merge.h, MergeCheckpoints in persist/merge.h), the quality
-///   layer (src/quality: interestingness measures, redundancy pruning,
-///   snapshot diffing), the clique engine (src/graph: CSR Graph,
+///   the distributed mining layer (Phase1Builder::MergeFrom,
+///   MergeCheckpoints in persist/merge.h, Session::MineFromCheckpoints),
+///   the quality layer (src/quality: interestingness measures, redundancy
+///   pruning, snapshot diffing), the clique engine (src/graph: CSR Graph,
 ///   EnumerateMaximalCliques), the advisor, and the generalized-QAR
 ///   bridge.
 ///
@@ -43,9 +43,7 @@
 #include "core/advisor.h"        // IWYU pragma: export
 #include "core/clustering_graph.h"  // IWYU pragma: export
 #include "core/config.h"         // IWYU pragma: export
-#include "core/coordinator.h"    // IWYU pragma: export
 #include "core/generalized_qar.h"   // IWYU pragma: export
-#include "core/merge.h"          // IWYU pragma: export
 #include "core/miner_result.h"   // IWYU pragma: export
 #include "core/mining_report.h"  // IWYU pragma: export
 #include "core/model.h"          // IWYU pragma: export

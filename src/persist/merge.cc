@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "core/coordinator.h"
-#include "core/merge.h"
 #include "core/session.h"
 #include "persist/checkpoint_io.h"
 
@@ -236,7 +234,11 @@ Result<MergedCheckpoint> MergeCheckpoints(std::span<const std::string> paths,
       return Status::InvalidArgument("'" + paths[i] +
                                      "': shard checkpoint is empty (0 rows)");
     }
-    DAR_RETURN_IF_ERROR(MergeBuilders(merged, shard, telemetry));
+    DAR_RETURN_IF_ERROR(merged.MergeFrom(shard));
+    if (telemetry.enabled()) {
+      telemetry.GetCounter("merge.builder_merges")->Increment(1);
+      telemetry.GetCounter("merge.rows")->Increment(shard.rows_added());
+    }
 
     if (meta.has_shards) {
       for (const ShardInfo& s : meta.shards) {
@@ -303,31 +305,28 @@ Status WriteMergedCheckpoint(const MergedCheckpoint& merged,
 
 namespace dar {
 
-// Defined here rather than in core/coordinator.cc because it layers on
+// Defined here rather than in core/session.cc because it layers on
 // dar_persist (dar_core must not depend on it) — the same arrangement as
 // Session::SaveCheckpoint / RestoreCheckpoint in src/stream/.
-Result<MiningReport> Coordinator::MineFromCheckpoints(
+Result<MiningReport> Session::MineFromCheckpoints(
     std::span<const std::string> paths) const {
-  const Session& session = *session_;
-  session.registry_->Reset();  // mirrors Mine: one call == one reported run
-  telemetry::TelemetryContext telemetry(session.registry_.get());
+  registry_->Reset();  // mirrors Mine: one call == one reported run
 
   persist::MergeOptions options;
-  options.config = &session.config_;
-  options.executor = session.executor_.get();
-  options.telemetry = telemetry;
+  options.config = &config_;
+  options.executor = executor_.get();
+  options.telemetry = telemetry::TelemetryContext(registry_.get());
   DAR_ASSIGN_OR_RETURN(persist::MergedCheckpoint merged,
                        persist::MergeCheckpoints(paths, options));
 
   MiningReport report;
   DAR_ASSIGN_OR_RETURN(report.result.phase1,
                        std::move(merged.builder).Finish());
-  DAR_ASSIGN_OR_RETURN(report.result.phase2,
-                       session.RunPhase2(report.result.phase1));
+  DAR_ASSIGN_OR_RETURN(report.result.phase2, RunPhase2(report.result.phase1));
   // The data itself is not available here, so the optional §6.2 support
   // rescan (config.count_rule_support) cannot run: support counts stay at
   // their unset value.
-  report.telemetry = session.registry_->TakeSnapshot();
+  report.telemetry = registry_->TakeSnapshot();
   return report;
 }
 

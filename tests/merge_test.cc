@@ -1,9 +1,10 @@
-// Distributed shard-merge mining (core/merge.h, persist/merge.h,
-// core/coordinator.h): ACF additivity (Eq. 3/7, Thm 6.1) lets Phase I run
-// independently over disjoint shards and merge at the summary level. The
-// acceptance pins here: MineSharded / 8-shard MergeCheckpoints + one
-// Phase II equal single-node Mine on exact (integer-valued) data at any
-// shard count in {1,2,4,8} and any thread count, and every merge
+// Distributed shard-merge mining (Phase1Builder::MergeFrom,
+// persist/merge.h, Session::MineFromCheckpoints): ACF additivity (Eq. 3/7,
+// Thm 6.1) lets Phase I run independently over disjoint shards and merge
+// at the summary level. The acceptance pins here: a merge into an empty
+// builder is an identity; 1/2/4/8 shard checkpoints merged + one Phase II
+// equal single-node Mine on exact (integer-valued) data at any thread
+// count, and are thread-count invariant on float data; and every merge
 // incompatibility surfaces as a descriptive error Status (run under
 // -DDAR_SANITIZE=address,undefined via `ctest -L ubsan`).
 
@@ -16,8 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "core/coordinator.h"
-#include "core/merge.h"
+#include "core/phase1_builder.h"
 #include "core/session.h"
 #include "datagen/planted.h"
 #include "persist/checkpoint_io.h"
@@ -141,7 +141,7 @@ std::string WriteShardCheckpoint(const Session& session, const Relation& rel,
 // ---------------------------------------------------------------------
 // Builder-level merge.
 
-TEST(MergeBuildersTest, TwoHalvesEqualTheWhole) {
+TEST(Phase1MergeTest, TwoHalvesEqualTheWhole) {
   IntDataset data = IntData();
   const DarConfig config = IntConfig();
   const size_t half = data.relation.num_rows() / 2;
@@ -159,7 +159,7 @@ TEST(MergeBuildersTest, TwoHalvesEqualTheWhole) {
   Phase1Builder merged = make_over(0, half);
   Phase1Builder second = make_over(half, data.relation.num_rows());
   Phase1Builder whole = make_over(0, data.relation.num_rows());
-  ASSERT_TRUE(MergeBuilders(merged, second).ok());
+  ASSERT_TRUE(merged.MergeFrom(second).ok());
   EXPECT_EQ(merged.rows_added(), whole.rows_added());
 
   auto merged_result = std::move(merged).Finish();
@@ -179,7 +179,7 @@ TEST(MergeBuildersTest, TwoHalvesEqualTheWhole) {
   }
 }
 
-TEST(MergeBuildersTest, RefusesEmptyAndMismatchedInputs) {
+TEST(Phase1MergeTest, RefusesEmptyAndMismatchedInputs) {
   IntDataset data = IntData(/*rows_per_pattern=*/20);
   const DarConfig config = IntConfig();
   auto dst = Phase1Builder::Make(config, data.schema, data.partition);
@@ -189,7 +189,7 @@ TEST(MergeBuildersTest, RefusesEmptyAndMismatchedInputs) {
   // Empty source: nothing to merge is a caller bug, not a no-op.
   auto empty = Phase1Builder::Make(config, data.schema, data.partition);
   ASSERT_TRUE(empty.ok());
-  Status status = MergeBuilders(*dst, *empty);
+  Status status = dst->MergeFrom(*empty);
   EXPECT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("empty"), std::string::npos) << status;
 
@@ -201,90 +201,60 @@ TEST(MergeBuildersTest, RefusesEmptyAndMismatchedInputs) {
   auto other = Phase1Builder::Make(config, data.schema, *other_partition);
   ASSERT_TRUE(other.ok());
   ASSERT_TRUE(other->AddRow(data.relation.Row(0)).ok());
-  EXPECT_TRUE(MergeBuilders(*dst, *other).IsInvalidArgument());
+  EXPECT_TRUE(dst->MergeFrom(*other).IsInvalidArgument());
 }
 
-// ---------------------------------------------------------------------
-// In-process sharded mining.
+// Merging into a builder that has seen no rows must change nothing: the
+// merged builder finishes to exactly the source's own snapshot. Re-inserting
+// the source's leaf summaries into empty trees instead lets them re-absorb
+// into each other under the tree threshold and loses rules. Workload and
+// config are the bench merge suite's.
+TEST(Phase1MergeTest, MergeIntoEmptyBuilderIsIdentity) {
+  const size_t attrs = 8;
+  const size_t clusters = 6;
+  auto data = GeneratePlanted(WbcdLikeSpec(attrs, clusters, 0.05, 48),
+                              10000, 49);
+  ASSERT_TRUE(data.ok()) << data.status();
+  DarConfig config;
+  config.memory_budget_bytes = 32u << 20;
+  config.frequency_fraction = 0.5 / static_cast<double>(clusters);
+  config.initial_diameters.assign(attrs, 50.0);
+  config.degree_threshold = 150.0;
+  config.count_rule_support = false;
 
-// The equivalence property at 1/2/4/8 shards and 1/8 threads: on exact
-// data, sharded mining is indistinguishable from single-node mining —
-// clusters, degrees (bitwise) and rescanned support counts all match.
-TEST(CoordinatorTest, MineShardedEqualsSingleNodeOnExactData) {
-  IntDataset data = IntData();
-  DarConfig config = IntConfig();
-  config.count_rule_support = true;  // exercise the §6.2 rescan too
+  auto source = Phase1Builder::Make(config, data->relation.schema(),
+                                    data->partition);
+  ASSERT_TRUE(source.ok()) << source.status();
+  ASSERT_TRUE(source->AddRelation(data->relation).ok());
+  auto expected = source->Snapshot();
+  ASSERT_TRUE(expected.ok()) << expected.status();
 
-  auto reference_session = MakeSession(config);
-  ASSERT_TRUE(reference_session.ok());
-  auto reference = reference_session->Mine(data.relation, data.partition);
-  ASSERT_TRUE(reference.ok()) << reference.status();
-  ASSERT_GT(reference->rules().size(), 0u)
-      << "workload must produce rules for the comparison to mean anything";
+  auto merged = Phase1Builder::Make(config, data->relation.schema(),
+                                    data->partition);
+  ASSERT_TRUE(merged.ok());
+  ASSERT_TRUE(merged->MergeFrom(*source).ok());
+  EXPECT_EQ(merged->rows_added(), source->rows_added());
+  auto actual = std::move(*merged).Finish();
+  ASSERT_TRUE(actual.ok()) << actual.status();
 
-  for (int threads : {1, 8}) {
-    auto session = MakeSession(config, threads);
-    ASSERT_TRUE(session.ok());
-    for (size_t shards : {1u, 2u, 4u, 8u}) {
-      auto report = session->NewCoordinator().MineSharded(
-          data.relation, data.partition, shards);
-      ASSERT_TRUE(report.ok())
-          << shards << " shards, " << threads << " threads: "
-          << report.status();
-      EXPECT_EQ(report->phase1().clusters.size(),
-                reference->phase1().clusters.size());
-      EXPECT_EQ(report->phase2().cliques, reference->phase2().cliques);
-      ExpectSameRules(report->rules(), reference->rules());
-      EXPECT_EQ(report->telemetry.CounterOr("merge.shards"),
-                static_cast<int64_t>(shards));
-      EXPECT_EQ(report->telemetry.CounterOr("merge.builder_merges"),
-                static_cast<int64_t>(shards));
-    }
+  ASSERT_GT(expected->clusters.size(), 0u);
+  ASSERT_EQ(actual->clusters.size(), expected->clusters.size());
+  for (size_t i = 0; i < expected->clusters.size(); ++i) {
+    const FoundCluster& a = actual->clusters.cluster(i);
+    const FoundCluster& b = expected->clusters.cluster(i);
+    EXPECT_EQ(a.part, b.part);
+    EXPECT_EQ(a.acf.n(), b.acf.n());
+    EXPECT_EQ(a.acf.Centroid(), b.acf.Centroid());  // bitwise
   }
-}
 
-// On float data, results are a pure function of (data, config, shard
-// count): any two thread counts produce bit-identical reports.
-TEST(CoordinatorTest, MineShardedIsThreadCountInvariant) {
-  PlantedDataset data = FloatData();
-  const DarConfig config = FloatConfig();
-
-  auto serial = MakeSession(config, /*threads=*/1);
-  auto parallel = MakeSession(config, /*threads=*/8);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  auto a =
-      serial->NewCoordinator().MineSharded(data.relation, data.partition, 4);
-  auto b = parallel->NewCoordinator().MineSharded(data.relation,
-                                                  data.partition, 4);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ASSERT_GT(a->rules().size(), 0u);
-  EXPECT_EQ(a->phase1().effective_d0, b->phase1().effective_d0);
-  EXPECT_EQ(a->phase2().cliques, b->phase2().cliques);
-  ExpectSameRules(a->rules(), b->rules());
-}
-
-TEST(CoordinatorTest, MineShardedArgumentErrors) {
-  IntDataset data = IntData(/*rows_per_pattern=*/10);
-  auto session = MakeSession(IntConfig());
+  auto session = MakeSession(config);
   ASSERT_TRUE(session.ok());
-  Coordinator coordinator = session->NewCoordinator();
-
-  EXPECT_TRUE(coordinator.MineSharded(data.relation, data.partition, 0)
-                  .status()
-                  .IsInvalidArgument());
-  Relation empty(data.schema);
-  EXPECT_TRUE(coordinator.MineSharded(empty, data.partition, 4)
-                  .status()
-                  .IsInvalidArgument());
-
-  // More shards than rows: clamped, not an error (every shard non-empty).
-  Relation tiny(data.schema);
-  for (size_t r = 0; r < 5; ++r) {
-    ASSERT_TRUE(tiny.AppendRow(data.relation.Row(r)).ok());
-  }
-  EXPECT_TRUE(coordinator.MineSharded(tiny, data.partition, 8).ok());
+  auto actual_rules = session->RunPhase2(*actual);
+  auto expected_rules = session->RunPhase2(*expected);
+  ASSERT_TRUE(actual_rules.ok()) << actual_rules.status();
+  ASSERT_TRUE(expected_rules.ok()) << expected_rules.status();
+  ASSERT_GT(expected_rules->rules.size(), 0u);
+  ExpectSameRules(actual_rules->rules, expected_rules->rules);
 }
 
 // ---------------------------------------------------------------------
@@ -314,9 +284,11 @@ void RemoveAll(const std::vector<std::string>& paths) {
   for (const std::string& path : paths) std::remove(path.c_str());
 }
 
-// The acceptance pin: 8 worker checkpoints merged + one Phase II equal
-// single-node Mine over the union, at 1 and 8 coordinator threads. The
-// stream retains no tuples, so support rescans are off on both sides.
+// The acceptance pin: 1/2/4/8 worker checkpoints merged + one Phase II
+// equal single-node Mine over the union, at 1 and 8 coordinator threads.
+// The integer data makes every CF sum exact, so the equality is bitwise at
+// any shard count. The stream retains no tuples, so support rescans are off
+// on both sides.
 TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
   IntDataset data = IntData();
   DarConfig config = IntConfig();
@@ -328,22 +300,53 @@ TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
   ASSERT_TRUE(reference.ok());
   ASSERT_GT(reference->rules().size(), 0u);
 
-  const std::vector<std::string> paths =
-      WriteShardFleet(config, data.relation, data.partition, 8, "accept");
-  for (int threads : {1, 8}) {
-    auto coordinator_session = MakeSession(config, threads);
-    ASSERT_TRUE(coordinator_session.ok());
-    auto report =
-        coordinator_session->NewCoordinator().MineFromCheckpoints(paths);
-    ASSERT_TRUE(report.ok()) << threads << " threads: " << report.status();
-    EXPECT_EQ(report->phase1().clusters.size(),
-              reference->phase1().clusters.size());
-    EXPECT_EQ(report->phase2().cliques, reference->phase2().cliques);
-    ExpectSameRules(report->rules(), reference->rules());
-    EXPECT_EQ(report->telemetry.CounterOr("merge.checkpoints"), 8);
-    EXPECT_EQ(report->telemetry.CounterOr("merge.shards"), 8);
+  for (size_t shards : {1u, 2u, 4u, 8u}) {
+    const std::vector<std::string> paths =
+        WriteShardFleet(config, data.relation, data.partition, shards,
+                        "accept" + std::to_string(shards) + "_");
+    for (int threads : {1, 8}) {
+      auto coordinator_session = MakeSession(config, threads);
+      ASSERT_TRUE(coordinator_session.ok());
+      auto report = coordinator_session->MineFromCheckpoints(paths);
+      ASSERT_TRUE(report.ok()) << shards << " shards, " << threads
+                               << " threads: " << report.status();
+      EXPECT_EQ(report->phase1().clusters.size(),
+                reference->phase1().clusters.size());
+      EXPECT_EQ(report->phase2().cliques, reference->phase2().cliques);
+      ExpectSameRules(report->rules(), reference->rules());
+      const auto n = static_cast<int64_t>(shards);
+      EXPECT_EQ(report->telemetry.CounterOr("merge.checkpoints"), n);
+      EXPECT_EQ(report->telemetry.CounterOr("merge.shards"), n);
+      // The first checkpoint is the merge target; every other one is
+      // merged into it.
+      EXPECT_EQ(report->telemetry.CounterOr("merge.builder_merges"), n - 1);
+      EXPECT_EQ(report->telemetry.CounterOr("merge.rows"),
+                static_cast<int64_t>(data.relation.num_rows() -
+                                     data.relation.num_rows() / shards));
+    }
+    RemoveAll(paths);
   }
-  RemoveAll(paths);
+
+  // Float data: regrouping tuples into shards may move CF sums by ulps, so
+  // only a fixed shard count is pinned, where the result must not depend
+  // on the coordinator's thread count.
+  PlantedDataset floats = FloatData();
+  const DarConfig float_config = FloatConfig();
+  const std::vector<std::string> float_paths = WriteShardFleet(
+      float_config, floats.relation, floats.partition, 4, "accept_float");
+  auto serial = MakeSession(float_config, /*threads=*/1);
+  auto parallel = MakeSession(float_config, /*threads=*/8);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  auto a = serial->MineFromCheckpoints(float_paths);
+  auto b = parallel->MineFromCheckpoints(float_paths);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  ASSERT_GT(a->rules().size(), 0u);
+  EXPECT_EQ(a->phase1().effective_d0, b->phase1().effective_d0);
+  EXPECT_EQ(a->phase2().cliques, b->phase2().cliques);
+  ExpectSameRules(a->rules(), b->rules());
+  RemoveAll(float_paths);
 }
 
 // A merged checkpoint is itself a valid MergeCheckpoints input: merging
@@ -369,9 +372,9 @@ TEST(MergeCheckpointsTest, MergedCheckpointMergesAgain) {
   auto session = MakeSession(config);
   ASSERT_TRUE(session.ok());
   auto tree_report =
-      session->NewCoordinator().MineFromCheckpoints(second_round);
+      session->MineFromCheckpoints(second_round);
   ASSERT_TRUE(tree_report.ok()) << tree_report.status();
-  auto flat_report = session->NewCoordinator().MineFromCheckpoints(paths);
+  auto flat_report = session->MineFromCheckpoints(paths);
   ASSERT_TRUE(flat_report.ok());
   ASSERT_GT(flat_report->rules().size(), 0u);
   ExpectSameRules(tree_report->rules(), flat_report->rules());
@@ -669,7 +672,7 @@ TEST(MergeCheckpointsTest, SingleCheckpointMergeMatchesItsOwnRemine) {
 
   const std::vector<std::string> paths =
       WriteShardFleet(config, data.relation, data.partition, 1, "single");
-  auto report = session->NewCoordinator().MineFromCheckpoints(paths);
+  auto report = session->MineFromCheckpoints(paths);
   ASSERT_TRUE(report.ok()) << report.status();
   ExpectSameRules(report->rules(), reference->rules());
   RemoveAll(paths);

@@ -39,6 +39,8 @@ The "merge" suite likewise: every run must name its shard count
 (params.num_shards >= 1) and its telemetry must record exactly that many
 merged checkpoints (counters["merge.checkpoints"]) — a run that silently
 merged fewer shards than it claims is a broken benchmark, not a slow one.
+Its checkpoint-merged rule count (params.rules) must equal the
+single-node baseline's (params.single_node_rules).
 
 The "quality" suite: every run must keep pruned <= total with finite
 score extrema, the stationary control (params.drift_injected == 0) must
@@ -180,11 +182,20 @@ def check_serve_run(errors, where, run):
 
 
 def check_merge_run(errors, where, run):
-    """Merge-suite invariants: the shard count is named and the telemetry
-    actually merged that many shard checkpoints."""
+    """Merge-suite invariants: the merged rule count equals the
+    single-node one, the shard count is named and the telemetry actually
+    merged that many shard checkpoints."""
     params = run.get("params")
     if not isinstance(params, dict):
         return  # shape error already reported
+    rules = params.get("rules")
+    single = params.get("single_node_rules")
+    if not is_number(rules) or not is_number(single):
+        errors.append(f"{where}.params: missing numeric 'rules' or "
+                      "'single_node_rules'")
+    elif rules != single:
+        errors.append(f"{where}.params.rules: checkpoint merge mined "
+                      f"{rules:g} rules, single-node {single:g}")
     num_shards = params.get("num_shards")
     if num_shards is None:
         errors.append(f"{where}.params: missing 'num_shards'")
