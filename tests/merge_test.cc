@@ -284,12 +284,12 @@ void RemoveAll(const std::vector<std::string>& paths) {
   for (const std::string& path : paths) std::remove(path.c_str());
 }
 
-// The acceptance pin: 1/2/4/8 worker checkpoints merged + one Phase II
-// equal single-node Mine over the union, at 1 and 8 coordinator threads.
-// The integer data makes every CF sum exact, so the equality is bitwise at
-// any shard count. The stream retains no tuples, so support rescans are off
-// on both sides.
-TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
+// `shards` worker checkpoints over contiguous slices of the integer data,
+// merged + one Phase II, equal single-node Mine over the union at 1 and 8
+// coordinator threads. The integer data makes every CF sum exact, so the
+// equality is bitwise at any shard count. The stream retains no tuples, so
+// support rescans are off on both sides.
+void ExpectShardsEqualSingleNodeMine(size_t shards) {
   IntDataset data = IntData();
   DarConfig config = IntConfig();
   config.count_rule_support = false;
@@ -300,36 +300,49 @@ TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
   ASSERT_TRUE(reference.ok());
   ASSERT_GT(reference->rules().size(), 0u);
 
-  for (size_t shards : {1u, 2u, 4u, 8u}) {
-    const std::vector<std::string> paths =
-        WriteShardFleet(config, data.relation, data.partition, shards,
-                        "accept" + std::to_string(shards) + "_");
-    for (int threads : {1, 8}) {
-      auto coordinator_session = MakeSession(config, threads);
-      ASSERT_TRUE(coordinator_session.ok());
-      auto report = coordinator_session->MineFromCheckpoints(paths);
-      ASSERT_TRUE(report.ok()) << shards << " shards, " << threads
-                               << " threads: " << report.status();
-      EXPECT_EQ(report->phase1().clusters.size(),
-                reference->phase1().clusters.size());
-      EXPECT_EQ(report->phase2().cliques, reference->phase2().cliques);
-      ExpectSameRules(report->rules(), reference->rules());
-      const auto n = static_cast<int64_t>(shards);
-      EXPECT_EQ(report->telemetry.CounterOr("merge.checkpoints"), n);
-      EXPECT_EQ(report->telemetry.CounterOr("merge.shards"), n);
-      // The first checkpoint is the merge target; every other one is
-      // merged into it.
-      EXPECT_EQ(report->telemetry.CounterOr("merge.builder_merges"), n - 1);
-      EXPECT_EQ(report->telemetry.CounterOr("merge.rows"),
-                static_cast<int64_t>(data.relation.num_rows() -
-                                     data.relation.num_rows() / shards));
-    }
-    RemoveAll(paths);
+  const std::vector<std::string> paths =
+      WriteShardFleet(config, data.relation, data.partition, shards,
+                      "accept" + std::to_string(shards) + "_");
+  for (int threads : {1, 8}) {
+    auto coordinator_session = MakeSession(config, threads);
+    ASSERT_TRUE(coordinator_session.ok());
+    auto report = coordinator_session->MineFromCheckpoints(paths);
+    ASSERT_TRUE(report.ok()) << shards << " shards, " << threads
+                             << " threads: " << report.status();
+    EXPECT_EQ(report->phase1().clusters.size(),
+              reference->phase1().clusters.size());
+    EXPECT_EQ(report->phase2().cliques, reference->phase2().cliques);
+    ExpectSameRules(report->rules(), reference->rules());
+    const auto n = static_cast<int64_t>(shards);
+    EXPECT_EQ(report->telemetry.CounterOr("merge.checkpoints"), n);
+    EXPECT_EQ(report->telemetry.CounterOr("merge.shards"), n);
+    // The first checkpoint is the merge target; every other one is
+    // merged into it.
+    EXPECT_EQ(report->telemetry.CounterOr("merge.builder_merges"), n - 1);
+    EXPECT_EQ(report->telemetry.CounterOr("merge.rows"),
+              static_cast<int64_t>(data.relation.num_rows() -
+                                   data.relation.num_rows() / shards));
   }
+  RemoveAll(paths);
+}
 
-  // Float data: regrouping tuples into shards may move CF sums by ulps, so
-  // only a fixed shard count is pinned, where the result must not depend
-  // on the coordinator's thread count.
+// The acceptance pin: 8 worker checkpoints equal single-node Mine.
+TEST(MergeCheckpointsTest, EightShardsEqualSingleNodeMine) {
+  ExpectShardsEqualSingleNodeMine(8);
+}
+
+// The same equality at 1, 2 and 4 shards.
+TEST(MergeCheckpointsTest, ShardedEqualsSingleNodeOnExactData) {
+  for (size_t shards : {1u, 2u, 4u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    ExpectShardsEqualSingleNodeMine(shards);
+  }
+}
+
+// Float data: regrouping tuples into shards may move CF sums by ulps, so
+// only a fixed shard count is pinned, where the result must not depend on
+// the coordinator's thread count.
+TEST(MergeCheckpointsTest, ShardedIsThreadCountInvariant) {
   PlantedDataset floats = FloatData();
   const DarConfig float_config = FloatConfig();
   const std::vector<std::string> float_paths = WriteShardFleet(
