@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -21,6 +26,127 @@ constexpr double kCfCompareTolerance = 1e-6;
 bool ApproxEqual(double a, double b) {
   double scale = std::max({1.0, std::fabs(a), std::fabs(b)});
   return std::fabs(a - b) <= kCfCompareTolerance * scale;
+}
+
+// The two kinds of item the insertion descent places. Each keeps its own
+// arithmetic, so a point row never becomes a one-point Acf.
+
+// One tuple, projected per part.
+struct PointItem {
+  const PartedRow& row;
+  std::span<const double> own;
+
+  double Distance(const CfVector& cf) const {
+    return PointClusterDistance(own, cf);
+  }
+  double DiameterWith(const CfVector& entry) const {
+    return entry.DiameterWithPoint(own);
+  }
+  void AbsorbInto(Acf& entry) const { entry.AddRow(row); }
+  void AddTo(CfVector& path) const { path.AddPoint(own); }
+  Acf Open(const std::shared_ptr<const AcfLayout>& layout,
+           size_t own_part) const {
+    Acf fresh(layout, own_part);
+    fresh.AddRow(row);
+    return fresh;
+  }
+};
+
+// A pre-aggregated cluster: a leaf ACF reinserted by a rebuild, a merged
+// tree's cluster, or a paged-out outlier.
+struct SummaryItem {
+  explicit SummaryItem(Acf& summary) : acf(summary), cf(summary.cf()) {}
+
+  double Distance(const CfVector& other) const {
+    return ClusterDistance(cf, other, ClusterMetric::kD0Centroid);
+  }
+  double DiameterWith(const CfVector& entry) const {
+    return entry.DiameterWithMerge(cf);
+  }
+  void AbsorbInto(Acf& entry) const { entry.Merge(acf); }
+  void AddTo(CfVector& path) const { path.Merge(cf); }
+  Acf Open(const std::shared_ptr<const AcfLayout>& /*layout*/,
+           size_t /*own_part*/) {
+    return std::move(acf);
+  }
+
+  Acf& acf;
+  // acf.cf(), kept for the path update after `acf` moves into a leaf.
+  const CfVector cf;
+};
+
+// The own-part CF of a leaf entry (Acf) or of an internal entry (ChildRef).
+template <typename Entry>
+const CfVector& CfOf(const Entry& entry) {
+  if constexpr (std::is_same_v<Entry, Acf>) {
+    return entry.cf();
+  } else {
+    return entry.cf;
+  }
+}
+
+// Index of the entry closest to `item` (the first on ties) and its
+// distance; infinity for no entries.
+template <typename Item, typename Entry>
+std::pair<size_t, double> Closest(const Item& item,
+                                  const std::vector<Entry>& entries) {
+  size_t best = 0;
+  double best_d = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < entries.size(); ++i) {
+    double d = item.Distance(CfOf(entries[i]));
+    if (d < best_d) {
+      best_d = d;
+      best = i;
+    }
+  }
+  return {best, best_d};
+}
+
+// BIRCH's node split, for leaf entries and child refs alike: seed with the
+// farthest pair of entry centroids, then assign each entry to the closer
+// seed. `from` keeps the first seed's group, `to` receives the other.
+template <typename Entry>
+void SplitEntries(std::vector<Entry>& from, std::vector<Entry>& to) {
+  const size_t n = from.size();
+  DAR_CHECK_GE(n, 2u);
+  size_t sa = 0, sb = 1;
+  double best = -1;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
+      double d = ClusterDistance(CfOf(from[i]), CfOf(from[j]),
+                                 ClusterMetric::kD0Centroid);
+      if (d > best) {
+        best = d;
+        sa = i;
+        sb = j;
+      }
+    }
+  }
+  const CfVector seed_a = CfOf(from[sa]);
+  const CfVector seed_b = CfOf(from[sb]);
+  std::vector<Entry> keep;
+  for (size_t i = 0; i < n; ++i) {
+    const CfVector& cf = CfOf(from[i]);
+    bool to_a = i == sa ||
+                (i != sb &&
+                 ClusterDistance(cf, seed_a, ClusterMetric::kD0Centroid) <=
+                     ClusterDistance(cf, seed_b, ClusterMetric::kD0Centroid));
+    (to_a ? keep : to).push_back(std::move(from[i]));
+  }
+  from = std::move(keep);
+}
+
+// Calls `visit` on every leaf below `node`, left to right (the
+// ExtractClusters order).
+template <typename NodeT, typename Visit>
+void ForEachLeaf(NodeT* node, const Visit& visit) {
+  if (node->is_leaf) {
+    visit(*node);
+    return;
+  }
+  for (auto& c : node->children) {
+    ForEachLeaf(static_cast<NodeT*>(c.child.get()), visit);
+  }
 }
 
 }  // namespace
@@ -97,11 +223,32 @@ Status AcfTree::InsertPoint(const PartedRow& row) {
       }
     }
   }
-  InsertOutcome out = InsertPointRec(root_.get(), row);
-  if (out.split) GrowRoot(std::move(out.sibling));
-  ++points_inserted_;
+  PointItem item{row, row[own_part_]};
+  return InsertFromRoot(item, 1);
+}
 
+Status AcfTree::InsertSummary(Acf acf) {
+  if (acf.layout_ptr().get() != layout_.get() ||
+      acf.own_part() != own_part_) {
+    return Status::InvalidArgument(
+        "summary layout/part does not match this tree");
+  }
+  if (acf.n() <= 0) {
+    return Status::InvalidArgument("cannot insert an empty summary");
+  }
+  const int64_t mass = acf.n();
+  SummaryItem item(acf);
+  return InsertFromRoot(item, mass);
+}
+
+template <typename Item>
+Status AcfTree::InsertFromRoot(Item& item, int64_t mass) {
+  InsertOutcome out = Insert(root_.get(), item, /*may_open=*/true);
+  if (out.sibling != nullptr) GrowRoot(std::move(out.sibling));
+  // A rebuild re-places mass the tree already counts, and must not recurse.
   if (in_rebuild_) return Status::OK();
+  points_inserted_ += mass;
+
   int rebuilds = 0;
   while (ApproxBytesNow() > options_.memory_budget_bytes) {
     if (++rebuilds > options_.max_rebuilds_per_insert) {
@@ -116,149 +263,49 @@ Status AcfTree::InsertPoint(const PartedRow& row) {
   return Status::OK();
 }
 
-Status AcfTree::InsertSummary(Acf acf) {
-  if (acf.layout_ptr().get() != layout_.get() ||
-      acf.own_part() != own_part_) {
-    return Status::InvalidArgument(
-        "summary layout/part does not match this tree");
-  }
-  if (acf.n() <= 0) {
-    return Status::InvalidArgument("cannot insert an empty summary");
-  }
-  int64_t mass = acf.n();
-  InsertOutcome out = InsertSummaryRec(root_.get(), std::move(acf));
-  if (out.split) GrowRoot(std::move(out.sibling));
-  points_inserted_ += in_rebuild_ ? 0 : mass;
-
-  if (in_rebuild_) return Status::OK();
-  int rebuilds = 0;
-  while (ApproxBytesNow() > options_.memory_budget_bytes) {
-    if (++rebuilds > options_.max_rebuilds_per_insert) {
-      return Status::ResourceExhausted("ACF-tree over memory budget");
-    }
-    DAR_RETURN_IF_ERROR(Rebuild());
-  }
-  DAR_VALIDATE_TREE();
-  return Status::OK();
-}
-
-AcfTree::InsertOutcome AcfTree::InsertPointRec(Node* node,
-                                               const PartedRow& row) {
-  const std::vector<double>& own = row[own_part_];
+template <typename Item>
+AcfTree::InsertOutcome AcfTree::Insert(Node* node, Item& item,
+                                       bool may_open) {
   if (node->is_leaf) {
-    // Find the closest existing cluster.
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      double d = PointClusterDistance(own, node->entries[i].cf());
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
+    auto [best, best_d] = Closest(item, node->entries);
     // Absorb only if the merged diameter stays within the threshold AND
-    // the point itself is within the threshold of the centroid. The second
+    // the item itself is within the threshold of the centroid. The second
     // condition guards against mass dilution: for a heavy cluster the
     // average pairwise diameter moves by only O(D^2/N) when one point at
     // distance D is added, so the diameter test alone would let large
     // clusters swallow arbitrarily distant points.
     if (!node->entries.empty() &&
-        node->entries[best].cf().DiameterWithPoint(own) <= threshold_ &&
+        item.DiameterWith(node->entries[best].cf()) <= threshold_ &&
         best_d <= threshold_) {
-      node->entries[best].AddRow(row);
+      item.AbsorbInto(node->entries[best]);
       return {};
     }
-    // Start a new cluster.
-    Acf fresh(layout_, own_part_);
-    fresh.AddRow(row);
-    node->entries.push_back(std::move(fresh));
+    if (!may_open) return {.placed = false, .sibling = nullptr};
+    node->entries.push_back(item.Open(layout_, own_part_));
     ++num_leaf_entries_;
     if (node->entries.size() <=
         static_cast<size_t>(options_.leaf_capacity)) {
       return {};
     }
-    return {true, SplitNode(node)};
+    return {.placed = true, .sibling = SplitNode(node)};
   }
 
-  // Internal node: descend into the closest child.
-  size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    double d = PointClusterDistance(own, node->children[i].cf);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
+  const size_t best = Closest(item, node->children).first;
+  ChildRef& path = node->children[best];
+  InsertOutcome below = Insert(path.child.get(), item, may_open);
+  if (!below.placed) return below;
+  if (below.sibling == nullptr) {
+    item.AddTo(path.cf);
+    return {};
   }
-  InsertOutcome below = InsertPointRec(node->children[best].child.get(), row);
-  if (!below.split) {
-    node->children[best].cf.AddPoint(own);
-  } else {
-    node->children[best].cf = ComputeNodeCf(*node->children[best].child);
-    ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
-    node->children.push_back(std::move(fresh));
-    if (node->children.size() >
-        static_cast<size_t>(options_.branching_factor)) {
-      return {true, SplitNode(node)};
-    }
+  path.cf = ComputeNodeCf(*path.child);
+  ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
+  node->children.push_back(std::move(fresh));
+  if (node->children.size() <=
+      static_cast<size_t>(options_.branching_factor)) {
+    return {};
   }
-  return {};
-}
-
-AcfTree::InsertOutcome AcfTree::InsertSummaryRec(Node* node, Acf&& acf) {
-  if (node->is_leaf) {
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      double d = ClusterDistance(acf.cf(), node->entries[i].cf(),
-                                 ClusterMetric::kD0Centroid);
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
-    // Same dual test as for points (diameter + centroid distance), so
-    // reinsertion during rebuilds cannot dilute heavy clusters either.
-    if (!node->entries.empty() &&
-        node->entries[best].cf().DiameterWithMerge(acf.cf()) <= threshold_ &&
-        best_d <= threshold_) {
-      node->entries[best].Merge(acf);
-      return {};
-    }
-    node->entries.push_back(std::move(acf));
-    ++num_leaf_entries_;
-    if (node->entries.size() <=
-        static_cast<size_t>(options_.leaf_capacity)) {
-      return {};
-    }
-    return {true, SplitNode(node)};
-  }
-
-  size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (size_t i = 0; i < node->children.size(); ++i) {
-    double d = ClusterDistance(acf.cf(), node->children[i].cf,
-                               ClusterMetric::kD0Centroid);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  const CfVector acf_cf = acf.cf();  // keep a copy; acf may be moved below
-  InsertOutcome below =
-      InsertSummaryRec(node->children[best].child.get(), std::move(acf));
-  if (!below.split) {
-    node->children[best].cf.Merge(acf_cf);
-  } else {
-    node->children[best].cf = ComputeNodeCf(*node->children[best].child);
-    ChildRef fresh{ComputeNodeCf(*below.sibling), std::move(below.sibling)};
-    node->children.push_back(std::move(fresh));
-    if (node->children.size() >
-        static_cast<size_t>(options_.branching_factor)) {
-      return {true, SplitNode(node)};
-    }
-  }
-  return {};
+  return {.placed = true, .sibling = SplitNode(node)};
 }
 
 std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
@@ -266,90 +313,10 @@ std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
   sibling->is_leaf = node->is_leaf;
   ++num_nodes_;
   ++split_count_;
-
   if (node->is_leaf) {
-    // Seed with the farthest pair of entry centroids, then assign each
-    // entry to the closer seed.
-    size_t n = node->entries.size();
-    DAR_CHECK_GE(n, 2u);
-    size_t sa = 0, sb = 1;
-    double best = -1;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        double d = ClusterDistance(node->entries[i].cf(),
-                                   node->entries[j].cf(),
-                                   ClusterMetric::kD0Centroid);
-        if (d > best) {
-          best = d;
-          sa = i;
-          sb = j;
-        }
-      }
-    }
-    const CfVector seed_a = node->entries[sa].cf();
-    const CfVector seed_b = node->entries[sb].cf();
-    std::vector<Acf> keep, move_out;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == sa) {
-        keep.push_back(std::move(node->entries[i]));
-        continue;
-      }
-      if (i == sb) {
-        move_out.push_back(std::move(node->entries[i]));
-        continue;
-      }
-      double da = ClusterDistance(node->entries[i].cf(), seed_a,
-                                  ClusterMetric::kD0Centroid);
-      double db = ClusterDistance(node->entries[i].cf(), seed_b,
-                                  ClusterMetric::kD0Centroid);
-      if (da <= db) {
-        keep.push_back(std::move(node->entries[i]));
-      } else {
-        move_out.push_back(std::move(node->entries[i]));
-      }
-    }
-    node->entries = std::move(keep);
-    sibling->entries = std::move(move_out);
+    SplitEntries(node->entries, sibling->entries);
   } else {
-    size_t n = node->children.size();
-    DAR_CHECK_GE(n, 2u);
-    size_t sa = 0, sb = 1;
-    double best = -1;
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        double d = ClusterDistance(node->children[i].cf, node->children[j].cf,
-                                   ClusterMetric::kD0Centroid);
-        if (d > best) {
-          best = d;
-          sa = i;
-          sb = j;
-        }
-      }
-    }
-    const CfVector seed_a = node->children[sa].cf;
-    const CfVector seed_b = node->children[sb].cf;
-    std::vector<ChildRef> keep, move_out;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == sa) {
-        keep.push_back(std::move(node->children[i]));
-        continue;
-      }
-      if (i == sb) {
-        move_out.push_back(std::move(node->children[i]));
-        continue;
-      }
-      double da = ClusterDistance(node->children[i].cf, seed_a,
-                                  ClusterMetric::kD0Centroid);
-      double db = ClusterDistance(node->children[i].cf, seed_b,
-                                  ClusterMetric::kD0Centroid);
-      if (da <= db) {
-        keep.push_back(std::move(node->children[i]));
-      } else {
-        move_out.push_back(std::move(node->children[i]));
-      }
-    }
-    node->children = std::move(keep);
-    sibling->children = std::move(move_out);
+    SplitEntries(node->children, sibling->children);
   }
   return sibling;
 }
@@ -357,11 +324,9 @@ std::unique_ptr<AcfTree::Node> AcfTree::SplitNode(Node* node) {
 CfVector AcfTree::ComputeNodeCf(const Node& node) const {
   const PartSpec& spec = layout_->parts[own_part_];
   CfVector cf(spec.dim, spec.metric);
-  if (node.is_leaf) {
-    for (const auto& e : node.entries) cf.Merge(e.cf());
-  } else {
-    for (const auto& c : node.children) cf.Merge(c.cf);
-  }
+  // A leaf holds only entries, an internal node only children.
+  for (const auto& e : node.entries) cf.Merge(e.cf());
+  for (const auto& c : node.children) cf.Merge(c.cf);
   return cf;
 }
 
@@ -380,47 +345,42 @@ double AcfTree::NextThreshold() const {
   // Within each leaf, the cheapest merge is between the closest pair of
   // entries; take the median of those over all leaves so a substantial
   // fraction of clusters merge after the rebuild (BIRCH §4.2 heuristic).
+  // Degenerate tree shapes (e.g. leaf capacity 1) never co-locate two
+  // entries in a leaf; for them, the first entries in leaf order are
+  // sampled globally so the threshold still jumps to the data scale
+  // instead of crawling up by the growth factor alone.
+  constexpr size_t kSampleSize = 48;
   std::vector<double> candidates;
-  std::vector<const Node*> stack = {root_.get()};
-  while (!stack.empty()) {
-    const Node* node = stack.back();
-    stack.pop_back();
-    if (node->is_leaf) {
-      if (node->entries.size() < 2) continue;
-      double best = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        for (size_t j = i + 1; j < node->entries.size(); ++j) {
-          best = std::min(best, node->entries[i].cf().DiameterWithMerge(
-                                    node->entries[j].cf()));
-        }
-      }
-      candidates.push_back(best);
-    } else {
-      for (const auto& c : node->children) stack.push_back(c.child.get());
+  std::vector<const Acf*> sample;
+  ForEachLeaf(root_.get(), [&](const Node& leaf) {
+    for (const Acf& e : leaf.entries) {
+      if (sample.size() < kSampleSize) sample.push_back(&e);
     }
-  }
+    if (leaf.entries.size() < 2) return;
+    double best = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < leaf.entries.size(); ++i) {
+      for (size_t j = i + 1; j < leaf.entries.size(); ++j) {
+        best = std::min(best, leaf.entries[i].cf().DiameterWithMerge(
+                                  leaf.entries[j].cf()));
+      }
+    }
+    candidates.push_back(best);
+  });
   double data_driven = 0;
   if (!candidates.empty()) {
     size_t mid = candidates.size() / 2;
     std::nth_element(candidates.begin(), candidates.begin() + mid,
                      candidates.end());
     data_driven = candidates[mid];
-  } else {
-    // Degenerate tree shapes (e.g. leaf capacity 1) never co-locate two
-    // entries in a leaf; sample a handful of entries globally so the
-    // threshold still jumps to the data scale instead of crawling up by
-    // the growth factor alone.
-    std::vector<Acf> sample;
-    CollectLeafEntriesConst(root_.get(), sample);
-    size_t limit = std::min<size_t>(sample.size(), 48);
+  } else if (sample.size() >= 2) {
     double best = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < limit; ++i) {
-      for (size_t j = i + 1; j < limit; ++j) {
+    for (size_t i = 0; i < sample.size(); ++i) {
+      for (size_t j = i + 1; j < sample.size(); ++j) {
         best = std::min(best,
-                        sample[i].cf().DiameterWithMerge(sample[j].cf()));
+                        sample[i]->cf().DiameterWithMerge(sample[j]->cf()));
       }
     }
-    if (limit >= 2) data_driven = best;
+    data_driven = best;
   }
   return std::max({threshold_ * options_.threshold_growth, data_driven,
                    kMinThreshold});
@@ -429,7 +389,9 @@ double AcfTree::NextThreshold() const {
 Status AcfTree::Rebuild() {
   double next = NextThreshold();
   std::vector<Acf> entries;
-  CollectLeafEntries(root_.get(), entries);
+  ForEachLeaf(root_.get(), [&](Node& leaf) {
+    for (Acf& e : leaf.entries) entries.push_back(std::move(e));
+  });
 
   threshold_ = next;
   root_ = std::make_unique<Node>();
@@ -454,66 +416,12 @@ Status AcfTree::Rebuild() {
   return status;
 }
 
-void AcfTree::CollectLeafEntries(Node* node, std::vector<Acf>& out) {
-  if (node->is_leaf) {
-    for (auto& e : node->entries) out.push_back(std::move(e));
-    node->entries.clear();
-    return;
-  }
-  for (auto& c : node->children) CollectLeafEntries(c.child.get(), out);
-}
-
-void AcfTree::CollectLeafEntriesConst(const Node* node,
-                                      std::vector<Acf>& out) const {
-  if (node->is_leaf) {
-    for (const auto& e : node->entries) out.push_back(e);
-    return;
-  }
-  for (const auto& c : node->children) {
-    CollectLeafEntriesConst(c.child.get(), out);
-  }
-}
-
 Status AcfTree::FinishScan() {
   std::vector<Acf> pending = std::move(outlier_buffer_);
   outlier_buffer_.clear();
-  for (auto& acf : pending) {
-    // Walk down to the most promising leaf; absorb only if the merge keeps
-    // the diameter within the threshold, else the cluster is a confirmed
-    // outlier.
-    Node* node = root_.get();
-    std::vector<CfVector*> path;
-    while (!node->is_leaf) {
-      size_t best = 0;
-      double best_d = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node->children.size(); ++i) {
-        double d = ClusterDistance(acf.cf(), node->children[i].cf,
-                                   ClusterMetric::kD0Centroid);
-        if (d < best_d) {
-          best_d = d;
-          best = i;
-        }
-      }
-      path.push_back(&node->children[best].cf);
-      node = node->children[best].child.get();
-    }
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->entries.size(); ++i) {
-      double d = ClusterDistance(acf.cf(), node->entries[i].cf(),
-                                 ClusterMetric::kD0Centroid);
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
-    if (!node->entries.empty() &&
-        node->entries[best].cf().DiameterWithMerge(acf.cf()) <= threshold_ &&
-        best_d <= threshold_) {
-      const CfVector acf_cf = acf.cf();
-      node->entries[best].Merge(acf);
-      for (CfVector* cf : path) cf->Merge(acf_cf);
-    } else {
+  for (Acf& acf : pending) {
+    SummaryItem item(acf);
+    if (!Insert(root_.get(), item, /*may_open=*/false).placed) {
       outliers_.push_back(std::move(acf));
     }
   }
@@ -539,9 +447,7 @@ Status AcfTree::MergeFrom(const AcfTree& other) {
   // it further through the usual rebuild loop.
   threshold_ = std::max(threshold_, other.threshold_);
 
-  std::vector<Acf> entries;
-  other.CollectLeafEntriesConst(other.root_.get(), entries);
-  for (auto& e : entries) {
+  for (Acf& e : other.ExtractClusters()) {
     DAR_RETURN_IF_ERROR(
         InsertSummary(rehome ? e.WithLayout(layout_) : std::move(e)));
   }
@@ -563,70 +469,10 @@ Status AcfTree::MergeFrom(const AcfTree& other) {
 
 std::vector<Acf> AcfTree::ExtractClusters() const {
   std::vector<Acf> out;
-  CollectLeafEntriesConst(root_.get(), out);
+  ForEachLeaf(root_.get(), [&](const Node& leaf) {
+    out.insert(out.end(), leaf.entries.begin(), leaf.entries.end());
+  });
   return out;
-}
-
-Result<size_t> AcfTree::NearestClusterIndex(
-    std::span<const double> own_values) const {
-  if (num_leaf_entries_ == 0) {
-    return Status::NotFound("tree has no clusters");
-  }
-  // Descend to the leaf the insertion path would reach.
-  const Node* node = root_.get();
-  while (!node->is_leaf) {
-    size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < node->children.size(); ++i) {
-      double d = PointClusterDistance(own_values, node->children[i].cf);
-      if (d < best_d) {
-        best_d = d;
-        best = i;
-      }
-    }
-    node = node->children[best].child.get();
-  }
-  const Acf* target = nullptr;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (const auto& e : node->entries) {
-    double d = PointClusterDistance(own_values, e.cf());
-    if (d < best_d) {
-      best_d = d;
-      target = &e;
-    }
-  }
-  DAR_CHECK(target != nullptr);
-  // Map the entry pointer to its DFS (ExtractClusters) index.
-  size_t index = 0;
-  bool found = false;
-  // Recursive DFS matching CollectLeafEntriesConst order.
-  auto dfs = [&](auto&& self, const Node* n) -> void {
-    if (found) return;
-    if (n->is_leaf) {
-      for (const auto& e : n->entries) {
-        if (&e == target) {
-          found = true;
-          return;
-        }
-        ++index;
-      }
-      return;
-    }
-    for (const auto& c : n->children) {
-      self(self, c.child.get());
-      if (found) return;
-    }
-  };
-  dfs(dfs, root_.get());
-  DAR_CHECK(found);
-  return index;
-}
-
-size_t AcfTree::CountNodes(const Node* node) const {
-  if (node->is_leaf) return 1;
-  size_t n = 1;
-  for (const auto& c : node->children) n += CountNodes(c.child.get());
-  return n;
 }
 
 size_t AcfTree::ApproxBytesNow() const {
@@ -642,7 +488,9 @@ size_t AcfTree::ApproxBytesNow() const {
 
 int64_t AcfTree::TotalMass() const {
   int64_t mass = 0;
-  for (const auto& e : ExtractClusters()) mass += e.n();
+  ForEachLeaf(root_.get(), [&](const Node& leaf) {
+    for (const auto& e : leaf.entries) mass += e.n();
+  });
   for (const auto& e : outlier_buffer_) mass += e.n();
   for (const auto& e : outliers_) mass += e.n();
   return mass;

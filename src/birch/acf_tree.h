@@ -7,7 +7,6 @@
 
 #include "birch/acf.h"
 #include "birch/metrics.h"
-#include "common/result.h"
 #include "common/status.h"
 
 namespace dar {
@@ -90,13 +89,14 @@ class AcfTree {
   /// Inserts one tuple (projected per part). May trigger rebuilds.
   Status InsertPoint(const PartedRow& row);
 
-  /// Inserts a pre-aggregated cluster summary (used by rebuilds and by
-  /// FinishScan; also the primitive for merging trees).
+  /// Inserts a pre-aggregated cluster summary (used by rebuilds; also the
+  /// primitive for merging trees).
   Status InsertSummary(Acf acf);
 
-  /// Re-inserts paged-out outliers: each is absorbed into an existing
-  /// cluster if the merged diameter fits the threshold, otherwise confirmed
-  /// as an outlier. Call once after the data scan (§4.3.1).
+  /// Re-inserts paged-out outliers with the same descent as InsertSummary,
+  /// except that no new leaf entry is opened: each outlier is absorbed
+  /// into an existing cluster if the threshold test holds, otherwise
+  /// confirmed as an outlier. Call once after the data scan (§4.3.1).
   Status FinishScan();
 
   /// Absorbs another tree built over a *disjoint* tuple set: by CF/ACF
@@ -117,11 +117,6 @@ class AcfTree {
   /// Clusters confirmed as outliers by FinishScan (plus any still paged out
   /// if FinishScan has not been called).
   [[nodiscard]] const std::vector<Acf>& outliers() const { return outliers_; }
-
-  /// Index (into ExtractClusters() order) of the leaf cluster whose
-  /// centroid is closest to `own_values`, following the tree as a search
-  /// structure (§4.3.2). Returns NotFound on an empty tree.
-  [[nodiscard]] Result<size_t> NearestClusterIndex(std::span<const double> own_values) const;
 
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] int rebuild_count() const { return rebuild_count_; }
@@ -172,15 +167,25 @@ class AcfTree {
     std::vector<Acf> entries;        // leaf nodes
   };
 
-  // Outcome of a recursive insert: whether the node split, and if so the
-  // new sibling to add to the parent.
+  // Outcome of one insertion descent below a node: whether the item found
+  // a place (always, unless opening a leaf entry was forbidden), and the new
+  // sibling the parent must adopt if the node split.
   struct InsertOutcome {
-    bool split = false;
+    bool placed = true;
     std::unique_ptr<Node> sibling;
   };
 
-  InsertOutcome InsertPointRec(Node* node, const PartedRow& row);
-  InsertOutcome InsertSummaryRec(Node* node, Acf&& acf);
+  // The one insertion descent (§4.3.1), for a point row or a summary alike
+  // (the item kinds live in acf_tree.cc): descend to the closest child,
+  // absorb into the closest leaf entry if the threshold test holds, else
+  // open a new entry — unless `may_open` is false — and split upward.
+  template <typename Item>
+  InsertOutcome Insert(Node* node, Item& item, bool may_open);
+
+  // Inserts `item` from the root, accounts `mass` inserted tuples, then
+  // rebuilds until the tree fits its memory budget again.
+  template <typename Item>
+  Status InsertFromRoot(Item& item, int64_t mass);
 
   // Splits an over-full node; returns the new sibling holding roughly half
   // the entries. `node` keeps the other half.
@@ -201,13 +206,9 @@ class AcfTree {
   // a substantial fraction of adjacent clusters merge after the rebuild.
   [[nodiscard]] double NextThreshold() const;
 
-  void CollectLeafEntries(Node* node, std::vector<Acf>& out);
-  void CollectLeafEntriesConst(const Node* node, std::vector<Acf>& out) const;
-
   // Recursive deep copy of a subtree (Clone's workhorse).
   [[nodiscard]] std::unique_ptr<Node> CloneNode(const Node& node) const;
 
-  [[nodiscard]] size_t CountNodes(const Node* node) const;
   [[nodiscard]] size_t ApproxBytesNow() const;
 
   // ValidateInvariants helpers; `path` names the node under scrutiny.

@@ -2,46 +2,26 @@
 
 #include <ostream>
 #include <sstream>
+#include <utility>
+#include <vector>
+
+#include "telemetry/json.h"
 
 namespace dar {
 
 namespace {
 
-// Minimal JSON emission helpers. Values in this module are numbers and
-// ASCII identifiers from schemas; strings are escaped conservatively.
-void AppendEscaped(const std::string& s, std::string& out) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  out += '"';
+void WriteIdList(const std::vector<size_t>& ids, telemetry::JsonWriter& w) {
+  w.BeginArray();
+  for (size_t id : ids) w.Int(static_cast<int64_t>(id));
+  w.EndArray();
 }
 
-std::string Num(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
-void AppendIdList(const std::vector<size_t>& ids, std::string& out) {
-  out += '[';
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  out += ']';
+void WriteDoubles(const std::vector<double>& values,
+                  telemetry::JsonWriter& w) {
+  w.BeginArray();
+  for (double v : values) w.Double(v);
+  w.EndArray();
 }
 
 }  // namespace
@@ -51,87 +31,99 @@ std::string MiningResultToJson(const DarMiningResult& result,
                                const AttributePartition& partition) {
   const Phase1Result& p1 = result.phase1;
   const Phase2Result& p2 = result.phase2;
-  std::string out = "{\n";
+  telemetry::JsonWriter w;
+  w.BeginObject();
 
-  out += "  \"parts\": [";
+  w.Key("parts");
+  w.BeginArray();
   for (size_t p = 0; p < partition.num_parts(); ++p) {
-    if (p > 0) out += ", ";
-    AppendEscaped(partition.part(p).label, out);
+    w.String(partition.part(p).label);
   }
-  out += "],\n";
+  w.EndArray();
 
-  out += "  \"frequency_threshold\": " +
-         std::to_string(p1.frequency_threshold) + ",\n";
-  out += "  \"effective_d0\": [";
-  for (size_t p = 0; p < p1.effective_d0.size(); ++p) {
-    if (p > 0) out += ", ";
-    out += Num(p1.effective_d0[p]);
-  }
-  out += "],\n";
+  w.Key("frequency_threshold");
+  w.Int(p1.frequency_threshold);
+  w.Key("effective_d0");
+  WriteDoubles(p1.effective_d0, w);
 
-  out += "  \"clusters\": [\n";
+  w.Key("clusters");
+  w.BeginArray();
   for (size_t i = 0; i < p1.clusters.size(); ++i) {
     const FoundCluster& c = p1.clusters.cluster(i);
-    out += "    {\"id\": " + std::to_string(c.id) +
-           ", \"part\": " + std::to_string(c.part) +
-           ", \"n\": " + std::to_string(c.acf.n()) + ", \"centroid\": [";
-    auto centroid = c.acf.Centroid();
-    for (size_t d = 0; d < centroid.size(); ++d) {
-      if (d > 0) out += ", ";
-      out += Num(centroid[d]);
+    w.BeginObject();
+    w.Key("id");
+    w.Int(static_cast<int64_t>(c.id));
+    w.Key("part");
+    w.Int(static_cast<int64_t>(c.part));
+    w.Key("n");
+    w.Int(c.acf.n());
+    w.Key("centroid");
+    WriteDoubles(c.acf.Centroid(), w);
+    w.Key("box");
+    w.BeginArray();
+    for (const auto& [lo, hi] : c.acf.BoundingBox(c.part)) {
+      w.BeginArray();
+      w.Double(lo);
+      w.Double(hi);
+      w.EndArray();
     }
-    out += "], \"box\": [";
-    auto box = c.acf.BoundingBox(c.part);
-    for (size_t d = 0; d < box.size(); ++d) {
-      if (d > 0) out += ", ";
-      out += "[" + Num(box[d].first) + ", " + Num(box[d].second) + "]";
-    }
-    out += "], \"diameter\": " + Num(c.acf.Diameter()) + ", \"label\": ";
-    AppendEscaped(p1.clusters.Describe(c.id, schema, partition), out);
-    out += "}";
-    out += (i + 1 < p1.clusters.size()) ? ",\n" : "\n";
+    w.EndArray();
+    w.Key("diameter");
+    w.Double(c.acf.Diameter());
+    w.Key("label");
+    w.String(p1.clusters.Describe(c.id, schema, partition));
+    w.EndObject();
   }
-  out += "  ],\n";
+  w.EndArray();
 
-  out += "  \"rules\": [\n";
-  for (size_t i = 0; i < p2.rules.size(); ++i) {
-    const DistanceRule& rule = p2.rules[i];
-    out += "    {\"antecedent\": ";
-    AppendIdList(rule.antecedent, out);
-    out += ", \"consequent\": ";
-    AppendIdList(rule.consequent, out);
-    out += ", \"degree\": " + Num(rule.degree);
+  w.Key("rules");
+  w.BeginArray();
+  for (const DistanceRule& rule : p2.rules) {
+    w.BeginObject();
+    w.Key("antecedent");
+    WriteIdList(rule.antecedent, w);
+    w.Key("consequent");
+    WriteIdList(rule.consequent, w);
+    w.Key("degree");
+    w.Double(rule.degree);
     if (rule.support_count >= 0) {
-      out += ", \"support_count\": " + std::to_string(rule.support_count);
+      w.Key("support_count");
+      w.Int(rule.support_count);
     }
-    out += "}";
-    out += (i + 1 < p2.rules.size()) ? ",\n" : "\n";
+    w.EndObject();
   }
-  out += "  ],\n";
+  w.EndArray();
 
-  out += "  \"stats\": {\"cliques\": " + std::to_string(p2.cliques.size()) +
-         ", \"nontrivial_cliques\": " +
-         std::to_string(p2.num_nontrivial_cliques) +
-         ", \"graph_edges\": " + std::to_string(p2.graph_edges) +
-         ", \"rules_truncated\": " +
-         (p2.rules_truncated ? std::string("true") : std::string("false")) +
-         ", \"cliques_truncated\": " +
-         (p2.cliques_truncated ? std::string("true") : std::string("false")) +
-         ", \"clique_cap_truncated\": " +
-         (p2.clique_cap_truncated ? std::string("true") : std::string("false")) +
-         ", \"clique_steps_truncated\": " +
-         (p2.clique_steps_truncated ? std::string("true")
-                                    : std::string("false")) +
-         ", \"phase1_seconds\": " + Num(p1.seconds) +
-         ", \"phase2_seconds\": " + Num(p2.seconds) + "}\n";
-  out += "}\n";
-  return out;
+  w.Key("stats");
+  w.BeginObject();
+  w.Key("cliques");
+  w.Int(static_cast<int64_t>(p2.cliques.size()));
+  w.Key("nontrivial_cliques");
+  w.Int(static_cast<int64_t>(p2.num_nontrivial_cliques));
+  w.Key("graph_edges");
+  w.Int(static_cast<int64_t>(p2.graph_edges));
+  w.Key("rules_truncated");
+  w.Bool(p2.rules_truncated);
+  w.Key("cliques_truncated");
+  w.Bool(p2.cliques_truncated);
+  w.Key("clique_cap_truncated");
+  w.Bool(p2.clique_cap_truncated);
+  w.Key("clique_steps_truncated");
+  w.Bool(p2.clique_steps_truncated);
+  w.Key("phase1_seconds");
+  w.Double(p1.seconds);
+  w.Key("phase2_seconds");
+  w.Double(p2.seconds);
+  w.EndObject();
+
+  w.EndObject();
+  return std::move(w).TakeStr();
 }
 
 Status WriteMiningReport(const DarMiningResult& result, const Schema& schema,
                          const AttributePartition& partition,
                          std::ostream& out) {
-  out << MiningResultToJson(result, schema, partition);
+  out << MiningResultToJson(result, schema, partition) << '\n';
   if (!out) return Status::IOError("report write failed");
   return Status::OK();
 }

@@ -14,7 +14,8 @@ namespace dar {
 /// thresholds, every frequent cluster (part, size, centroid, bounding box,
 /// diameter) and every rule (cluster ids, degree, optional support).
 /// Clusters are referenced by id from the rules, so the output is
-/// self-contained.
+/// self-contained. Compact JSON; doubles use the shortest form that parses
+/// back exactly, and non-finite values are written as null.
 std::string MiningResultToJson(const DarMiningResult& result,
                                const Schema& schema,
                                const AttributePartition& partition);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/random.h"
@@ -222,27 +224,89 @@ TEST(AcfTreeTest, FinishScanAbsorbsCloseOutliers) {
   EXPECT_EQ(tree.TotalMass(), 100);
 }
 
-TEST(AcfTreeTest, NearestClusterIndexFindsContainingCluster) {
-  AcfTreeOptions opts = SmallTreeOptions();
-  opts.initial_threshold = 2.0;
-  AcfTree tree(OnePartLayout(), 0, opts);
-  Rng rng(10);
-  for (int i = 0; i < 60; ++i) {
-    double base = 10.0 * (i % 5);
-    ASSERT_TRUE(tree.InsertPoint({{base + rng.Uniform(-0.3, 0.3)}}).ok());
+// FNV-1a over the raw bytes of `value`, folded into `h`.
+template <typename T>
+void HashBytes(uint64_t& h, const T& value) {
+  unsigned char bytes[sizeof(T)];
+  std::memcpy(bytes, &value, sizeof(T));
+  for (unsigned char b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
   }
-  auto clusters = tree.ExtractClusters();
-  ASSERT_GE(clusters.size(), 5u);
-  std::vector<double> probe = {20.0};
-  auto idx = tree.NearestClusterIndex(probe);
-  ASSERT_TRUE(idx.ok());
-  EXPECT_NEAR(clusters[*idx].Centroid()[0], 20.0, 1.0);
 }
 
-TEST(AcfTreeTest, NearestClusterIndexEmptyTree) {
-  AcfTree tree(OnePartLayout(), 0, SmallTreeOptions());
-  std::vector<double> probe = {1.0};
-  EXPECT_TRUE(tree.NearestClusterIndex(probe).status().IsNotFound());
+void HashAcf(uint64_t& h, const Acf& acf) {
+  HashBytes(h, acf.n());
+  for (size_t p = 0; p < acf.layout().num_parts(); ++p) {
+    const CfVector& img = acf.image(p);
+    for (size_t d = 0; d < img.dim(); ++d) {
+      HashBytes(h, img.ls()[d]);
+      HashBytes(h, img.ss()[d]);
+      HashBytes(h, img.min()[d]);
+      HashBytes(h, img.max()[d]);
+    }
+  }
+}
+
+// Pins the exact result of a whole tree lifecycle: point inserts under a
+// budget tight enough to force rebuilds and outlier paging, a merge of a
+// second tree built over an equivalent (not identical) layout, and
+// FinishScan. The hash covers every leaf ACF in ExtractClusters order, the
+// confirmed outliers and the Stats counters, bit for bit, so any change to
+// the insertion descent, the split or the rebuild order shows here.
+TEST(AcfTreeTest, LifecycleIsBitExact) {
+  auto make_layout = [] {
+    auto layout = std::make_shared<AcfLayout>();
+    layout->parts = {{2, MetricKind::kEuclidean, "XY"},
+                     {1, MetricKind::kManhattan, "Z"},
+                     {1, MetricKind::kEuclidean, "W"}};
+    return std::shared_ptr<const AcfLayout>(std::move(layout));
+  };
+  AcfTreeOptions opts;
+  opts.branching_factor = 4;
+  opts.leaf_capacity = 3;
+  opts.memory_budget_bytes = 48u << 10;
+  opts.outlier_entry_min_n = 3;
+  auto fill = [&](AcfTree& tree, uint64_t seed, int rows) {
+    Rng rng(seed);
+    for (int i = 0; i < rows; ++i) {
+      double cx = 100.0 * static_cast<double>(i % 5);
+      PartedRow row = {{cx + rng.Gaussian(0, 4), rng.Uniform(-50, 50)},
+                       {rng.Uniform(0, 10)},
+                       {rng.Gaussian(1e3, 30)}};
+      if (i % 37 == 0) row[0] = {rng.Uniform(1e4, 1e5), rng.Uniform(0, 1)};
+      ASSERT_TRUE(tree.InsertPoint(row).ok());
+    }
+  };
+  AcfTree tree(make_layout(), 0, opts);
+  AcfTree other(make_layout(), 0, opts);
+  fill(tree, 501, 1500);
+  fill(other, 502, 700);
+  ASSERT_GT(tree.rebuild_count(), 0);
+  ASSERT_GT(tree.Stats().num_outliers, 0u);
+  ASSERT_TRUE(tree.MergeFrom(other).ok());
+  ASSERT_TRUE(tree.FinishScan().ok());
+  ASSERT_TRUE(tree.ValidateInvariants().ok());
+  EXPECT_EQ(tree.TotalMass(), 2200);
+
+  uint64_t h = 1469598103934665603ull;
+  for (const Acf& c : tree.ExtractClusters()) HashAcf(h, c);
+  for (const Acf& c : tree.outliers()) HashAcf(h, c);
+  AcfTreeStats s = tree.Stats();
+  HashBytes(h, s.num_nodes);
+  HashBytes(h, s.num_leaf_entries);
+  HashBytes(h, s.num_outliers);
+  HashBytes(h, s.rebuild_count);
+  HashBytes(h, s.threshold);
+  HashBytes(h, s.approx_bytes);
+  HashBytes(h, s.points_inserted);
+  HashBytes(h, s.split_count);
+  HashBytes(h, s.height);
+  // Recorded before the insertion descent, the split and the leaf walks
+  // were each folded into one routine; they must not change a bit.
+  EXPECT_EQ(h, 2086272162687541992ull)
+      << "clusters=" << s.num_leaf_entries << " outliers=" << s.num_outliers
+      << " rebuilds=" << s.rebuild_count << " splits=" << s.split_count;
 }
 
 TEST(AcfTreeTest, DeterministicForIdenticalInput) {

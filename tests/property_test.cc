@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <ostream>
 
 #include "apriori/apriori.h"
 #include "birch/acf_tree.h"
@@ -62,6 +63,13 @@ struct TreeParam {
   int leaf_capacity;
   uint64_t seed;
 };
+
+// Prints as "b4_l2_seed1". gtest_discover_tests turns the printed
+// parameter into the ctest name suffix; a name generator would not do, as
+// CMake then keeps gtest's "# GetParam() = ..." comment in the name.
+void PrintTo(const TreeParam& p, std::ostream* os) {
+  *os << "b" << p.branching << "_l" << p.leaf_capacity << "_seed" << p.seed;
+}
 
 class AcfTreePropertyTest : public ::testing::TestWithParam<TreeParam> {};
 
@@ -246,6 +254,12 @@ struct WorkloadParam {
   double outliers;
   uint64_t seed;
 };
+
+// Prints as "a3_c3_o5_seed302" (outliers in percent); see TreeParam.
+void PrintTo(const WorkloadParam& w, std::ostream* os) {
+  *os << "a" << w.attrs << "_c" << w.clusters << "_o"
+      << std::lround(w.outliers * 100) << "_seed" << w.seed;
+}
 
 class RecoveryPropertyTest : public ::testing::TestWithParam<WorkloadParam> {
 };

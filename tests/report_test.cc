@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "common/random.h"
 #include "core/session.h"
@@ -87,14 +89,16 @@ TEST(ReportTest, SummaryListsRulesAndCaps) {
 }
 
 TEST(ReportTest, EscapesSpecialCharactersInLabels) {
-  // A schema with a quote in an attribute name must not break the JSON.
+  // A quote or a tab in an attribute name must not break the JSON, and
+  // large coordinates must survive the trip through text exactly.
   Schema s = *Schema::Make({{"a\"b", AttributeKind::kInterval},
-                            {"c", AttributeKind::kInterval}});
+                            {"c\td", AttributeKind::kInterval}});
   Relation rel(s);
   Rng rng(67);
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(
-        rel.AppendRow({rng.Gaussian(10, 1), rng.Gaussian(20, 1)}).ok());
+    ASSERT_TRUE(rel.AppendRow({rng.Gaussian(10, 1),
+                               rng.Gaussian(1234567.89, 1)})
+                    .ok());
   }
   AttributePartition part = AttributePartition::SingletonPartition(s);
   DarConfig config;
@@ -106,6 +110,25 @@ TEST(ReportTest, EscapesSpecialCharactersInLabels) {
   ASSERT_TRUE(result.ok());
   std::string json = MiningResultToJson(result->result, s, part);
   EXPECT_NE(json.find("a\\\"b"), std::string::npos);
+  EXPECT_NE(json.find("c\\td"), std::string::npos);
+  EXPECT_EQ(json.find('\t'), std::string::npos);
+
+  // The i-th "centroid" array belongs to cluster i; its first coordinate
+  // parses back to the exact double.
+  const ClusterSet& clusters = result->result.phase1.clusters;
+  const std::string key = "\"centroid\":[";
+  size_t pos = 0;
+  bool saw_large = false;
+  for (size_t i = 0; i < clusters.size(); ++i) {
+    pos = json.find(key, pos);
+    ASSERT_NE(pos, std::string::npos) << "cluster " << i;
+    pos += key.size();
+    double parsed = std::strtod(json.c_str() + pos, nullptr);
+    double expect = clusters.cluster(i).acf.Centroid()[0];
+    EXPECT_EQ(parsed, expect) << "cluster " << i;
+    saw_large = saw_large || expect >= 1e6;
+  }
+  EXPECT_TRUE(saw_large);
 }
 
 }  // namespace
