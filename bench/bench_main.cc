@@ -37,6 +37,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/clustering_graph.h"
+#include "core/rule_gen.h"
 #include "core/session.h"
 #include "datagen/graphs.h"
 #include "datagen/planted.h"
@@ -906,7 +907,8 @@ int RunGraphSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
 }
 
 // --- Suite 3: micro kernels (ACF-tree insertion, D2 distance, clique
-// enumeration), measured standalone with their own registries. ---
+// enumeration, rule formation), measured standalone with their own
+// registries. ---
 
 void MicroAcfInsert(const BenchOptions& options,
                     std::vector<RunRecord>& runs) {
@@ -980,8 +982,9 @@ void MicroD2Distance(const BenchOptions& options,
   runs.push_back(std::move(run));
 }
 
-int MicroCliqueEnum(const BenchOptions& options,
-                    std::vector<RunRecord>& runs) {
+// micro/clique_enum, then micro/rule_gen over the same graph's cliques.
+int MicroCliquesAndRules(const BenchOptions& options,
+                         std::vector<RunRecord>& runs) {
   const size_t attrs = options.smoke ? 4 : 12;
   const size_t clusters = options.smoke ? 3 : 10;
   const size_t n = options.smoke ? 3000 : 60000;
@@ -1031,6 +1034,35 @@ int MicroCliqueEnum(const BenchOptions& options,
   run.timings = {{"seconds", seconds}};
   run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
   runs.push_back(std::move(run));
+
+  // Rule formation alone, with the graph's lenient d0 as the per-part
+  // degree thresholds and the default arity and rule caps.
+  std::vector<std::vector<size_t>> members;
+  for (const auto& q : cliques) members.emplace_back(q.begin(), q.end());
+  RuleGenOptions rule_opts;
+  rule_opts.degree_thresholds = graph_opts.d0;
+  Stopwatch rules_watch;
+  const RuleGenResult rules =
+      GenerateDistanceRules(phase1->clusters, members, rule_opts);
+  const double rules_seconds = rules_watch.ElapsedSeconds();
+  telemetry::MetricsRegistry rules_registry;
+  rules_registry.GetCounter("micro.rule_gen.rules")
+      ->Increment(static_cast<int64_t>(rules.rules.size()));
+  rules_registry.GetCounter("micro.rule_gen.degree_evaluations")
+      ->Increment(rules.degree_evaluations);
+  rules_registry.GetCounter("micro.rule_gen.cliques")
+      ->Increment(static_cast<int64_t>(members.size()));
+  RunRecord rules_run;
+  rules_run.name = "micro/rule_gen";
+  rules_run.params = {
+      {"n", static_cast<double>(n)},
+      {"attrs", static_cast<double>(attrs)},
+      {"clusters_per_attr", static_cast<double>(clusters)},
+      {"truncated", rules.truncated ? 1.0 : 0.0}};
+  rules_run.timings = {{"seconds", rules_seconds}};
+  rules_run.telemetry_json =
+      DeterministicTelemetry(rules_registry.TakeSnapshot());
+  runs.push_back(std::move(rules_run));
   return 0;
 }
 
@@ -1350,7 +1382,7 @@ int Main(int argc, char** argv) {
   std::vector<RunRecord> micro_runs;
   MicroAcfInsert(options, micro_runs);
   MicroD2Distance(options, micro_runs);
-  if (MicroCliqueEnum(options, micro_runs) != 0) return 1;
+  if (MicroCliquesAndRules(options, micro_runs) != 0) return 1;
   if (WriteSuite(options, "micro", micro_runs) != 0) return 1;
   return 0;
 }

@@ -59,4 +59,17 @@ std::string ClusterSet::Describe(size_t id, const Schema& schema,
   return os.str();
 }
 
+std::string ClusterSet::DescribeConjunction(
+    const std::vector<size_t>& ids, const Schema& schema,
+    const AttributePartition& partition) const {
+  std::string out;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out += " AND ";
+    out += '[';
+    out += Describe(ids[i], schema, partition);
+    out += ']';
+  }
+  return out;
+}
+
 }  // namespace dar

@@ -53,6 +53,12 @@ class ClusterSet {
   std::string Describe(size_t id, const Schema& schema,
                        const AttributePartition& partition) const;
 
+  /// The clusters `ids` as one rule side: their descriptions in brackets,
+  /// joined by " AND ".
+  std::string DescribeConjunction(const std::vector<size_t>& ids,
+                                  const Schema& schema,
+                                  const AttributePartition& partition) const;
+
  private:
   std::shared_ptr<const AcfLayout> layout_;
   std::vector<FoundCluster> clusters_;

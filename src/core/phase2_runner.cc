@@ -55,6 +55,7 @@ Result<Phase2Result> RunPhase2OnSummaries(const Phase1Result& phase1,
   rule_opts.max_antecedent = config.max_antecedent;
   rule_opts.max_consequent = config.max_consequent;
   rule_opts.max_rules = config.max_rules;
+  Stopwatch rules_watch;
   RuleGenResult rules =
       GenerateDistanceRules(phase1.clusters, out.cliques, rule_opts);
   out.rules = std::move(rules.rules);
@@ -65,6 +66,7 @@ Result<Phase2Result> RunPhase2OnSummaries(const Phase1Result& phase1,
             [](const DistanceRule& a, const DistanceRule& b) {
               return a.degree < b.degree;
             });
+  const double rules_seconds = rules_watch.ElapsedSeconds();
   out.seconds = watch.ElapsedSeconds();
 
   // The loose Phase-II counters live in the snapshot now; recorded once
@@ -90,6 +92,8 @@ Result<Phase2Result> RunPhase2OnSummaries(const Phase1Result& phase1,
       ->Increment(static_cast<int64_t>(out.rules.size()));
   telem.GetGauge("phase2.seconds", telemetry::Unit::kSeconds)
       ->Set(out.seconds);
+  telem.GetGauge("phase2.rules_seconds", telemetry::Unit::kSeconds)
+      ->Set(rules_seconds);
   return out;
 }
 

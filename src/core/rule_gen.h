@@ -39,6 +39,17 @@ struct RuleGenResult {
 /// `assoc(C_Yj) = {C_X in Q1 : D(C_Yj[Yj], C_X[Yj]) <= D0}` over C_Y',
 /// with all attribute sets pairwise disjoint. Duplicate rules arising from
 /// overlapping cliques are emitted once, with arity bounded by the options.
+///
+/// Emission order is a contract: Q2-major, Q1-minor over `cliques`; within
+/// a clique pair, consequents in combination order over Q2's members as
+/// listed, and for each, antecedents in combination order over the
+/// candidates in ascending id order ({a}, {a,b}, {a,b,c}, {a,c}, {b}, ...);
+/// a rule that recurs is kept at its first occurrence. RunPhase2OnSummaries
+/// sorts by degree with the unstable std::sort, so the order among equal
+/// degrees — and thus the served rule list — follows this emission order.
+/// `degree_evaluations` counts distinct (consequent, antecedent) cluster
+/// pairs evaluated, which under `max_rules` truncation covers the clique
+/// pairs visited up to the cut.
 RuleGenResult GenerateDistanceRules(
     const ClusterSet& clusters,
     const std::vector<std::vector<size_t>>& cliques,

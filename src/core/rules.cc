@@ -7,16 +7,9 @@ namespace dar {
 std::string DistanceRule::ToString(const ClusterSet& clusters,
                                    const Schema& schema,
                                    const AttributePartition& partition) const {
-  auto render = [&](const std::vector<size_t>& ids) {
-    std::string out;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      if (i > 0) out += " AND ";
-      out += "[" + clusters.Describe(ids[i], schema, partition) + "]";
-    }
-    return out;
-  };
   std::ostringstream os;
-  os << render(antecedent) << " => " << render(consequent)
+  os << clusters.DescribeConjunction(antecedent, schema, partition) << " => "
+     << clusters.DescribeConjunction(consequent, schema, partition)
      << " (degree=" << degree;
   if (support_count >= 0) os << ", support_count=" << support_count;
   os << ")";

@@ -79,7 +79,9 @@ Result<CsvStreamReader> CsvStreamReader::Open(std::istream& in,
   } else {
     size_t width = Split(first, options.delimiter).size();
     for (size_t i = 0; i < width; ++i) {
-      names.push_back("c" + std::to_string(i));
+      std::string name = "c";
+      name += std::to_string(i);
+      names.push_back(std::move(name));
     }
     reader.pending_line_ = std::move(first);
     reader.pending_line_number_ = reader.line_number_;

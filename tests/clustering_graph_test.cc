@@ -188,7 +188,7 @@ TEST(CliqueTest, MatchesBruteForceOnRandomGraphs) {
     auto layout = std::make_shared<AcfLayout>();
     for (size_t p = 0; p < n; ++p) {
       layout->parts.push_back({1, MetricKind::kEuclidean,
-                               "P" + std::to_string(p)});
+                               std::string("P").append(std::to_string(p))});
     }
     std::vector<FoundCluster> clusters;
     for (size_t i = 0; i < n; ++i) {

@@ -35,8 +35,8 @@ namespace {
 std::shared_ptr<const AcfLayout> MakeLayout(size_t num_parts) {
   auto layout = std::make_shared<AcfLayout>();
   for (size_t p = 0; p < num_parts; ++p) {
-    layout->parts.push_back(
-        {1, MetricKind::kEuclidean, "p" + std::to_string(p)});
+    layout->parts.push_back({1, MetricKind::kEuclidean,
+                             std::string("p").append(std::to_string(p))});
   }
   return layout;
 }

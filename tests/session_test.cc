@@ -201,6 +201,8 @@ TEST(SessionTest, DeterministicJsonIdenticalAcrossThreadCounts) {
   const std::string full = telemetry::JsonExporter().Export(one->telemetry);
   EXPECT_NE(full.find("\"phase1.seconds\""), std::string::npos);
   EXPECT_EQ(json_one.find("\"phase1.seconds\""), std::string::npos);
+  EXPECT_NE(full.find("\"phase2.rules_seconds\""), std::string::npos);
+  EXPECT_EQ(json_one.find("\"phase2.rules_seconds\""), std::string::npos);
 }
 
 TEST(SessionTest, StreamingAddRowMatchesBatchAddRelation) {

@@ -58,6 +58,11 @@ dropped_cliques and zero spurious_cliques against the brute-force
 maximal-clique oracle — a single missing or invented clique is a
 correctness bug in the engine, not noise.
 
+The "micro" suite must include the rule-formation kernel: a run named
+"micro/rule_gen" whose counters micro.rule_gen.rules,
+micro.rule_gen.degree_evaluations and micro.rule_gen.cliques are all
+non-zero — a kernel that formed no rule measured nothing.
+
 Usage: tools/check_bench_json.py FILE [FILE...]
 Prints one `file: message` per violation and exits 1 when anything is
 found, 0 when every file is schema-valid. Stdlib only.
@@ -297,6 +302,29 @@ def check_graph_suite(errors, runs):
                           "adversarial budget runs are missing")
 
 
+MICRO_RULE_GEN_COUNTERS = ("micro.rule_gen.rules",
+                           "micro.rule_gen.degree_evaluations",
+                           "micro.rule_gen.cliques")
+
+
+def check_micro_suite(errors, runs):
+    """The micro suite must carry micro/rule_gen with non-zero counters."""
+    rule_gen = [run for run in runs if isinstance(run, dict)
+                and run.get("name") == "micro/rule_gen"]
+    if not rule_gen:
+        errors.append("runs: missing the 'micro/rule_gen' run")
+        return
+    telemetry = rule_gen[0].get("telemetry")
+    counters = telemetry.get("counters", {}) if isinstance(
+        telemetry, dict) else {}
+    for name in MICRO_RULE_GEN_COUNTERS:
+        counter = counters.get(name)
+        value = counter.get("value") if isinstance(counter, dict) else None
+        if not is_int(value) or value <= 0:
+            errors.append(f"micro/rule_gen.telemetry.counters['{name}']: "
+                          f"must be a positive integer, got {value!r}")
+
+
 def check_file(path):
     errors = []
     try:
@@ -353,6 +381,8 @@ def check_file(path):
             check_graph_run(errors, where, run)
     if doc.get("suite") == "graph":
         check_graph_suite(errors, runs)
+    if doc.get("suite") == "micro":
+        check_micro_suite(errors, runs)
     return errors
 
 
