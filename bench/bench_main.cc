@@ -18,6 +18,10 @@
 // --no-timings omits them (and nothing else), so entire output files
 // become byte-comparable — CI's bench-smoke job diffs a 1-thread and an
 // 8-thread --smoke run exactly this way.
+//
+// A suite that fails does not stop the run: the remaining suites still
+// run and every suite that passed writes its file. The failed suites are
+// named on stderr and the exit status is 1.
 
 #include <algorithm>
 #include <barrier>
@@ -26,6 +30,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -38,6 +44,7 @@
 #include "common/stopwatch.h"
 #include "core/clustering_graph.h"
 #include "core/rule_gen.h"
+#include "core/rule_stats.h"
 #include "core/session.h"
 #include "datagen/graphs.h"
 #include "datagen/planted.h"
@@ -907,8 +914,8 @@ int RunGraphSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
 }
 
 // --- Suite 3: micro kernels (ACF-tree insertion, D2 distance, clique
-// enumeration, rule formation), measured standalone with their own
-// registries. ---
+// enumeration, rule formation, the contingency post-scan), measured
+// standalone with their own registries. ---
 
 void MicroAcfInsert(const BenchOptions& options,
                     std::vector<RunRecord>& runs) {
@@ -1153,6 +1160,7 @@ int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
     Stopwatch merge_watch;
     auto merged = session->MineFromCheckpoints(paths);
     const double merge_seconds = merge_watch.ElapsedSeconds();
+    for (const std::string& path : paths) std::remove(path.c_str());
     if (!merged.ok()) {
       std::cerr << merged.status() << "\n";
       return 1;
@@ -1164,7 +1172,6 @@ int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
                 << "\n";
       return 1;
     }
-    for (const std::string& path : paths) std::remove(path.c_str());
 
     RunRecord run;
     run.name = "merge/shards=" + std::to_string(shards);
@@ -1198,34 +1205,52 @@ int RunMergeSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
 // and pruning/diffing are sequential sweeps over them, so the whole
 // telemetry view stays byte-identical across thread counts. ---
 
-int RunQualityRun(const BenchOptions& options, const std::string& label,
-                  double shift, std::vector<RunRecord>& runs) {
-  const size_t attrs = options.smoke ? 4 : 6;
-  const size_t clusters = options.smoke ? 3 : 4;
+// The quality suite's input: rows over `attrs` attributes with `clusters`
+// planted clusters each, whose means shift by `shift` slots half way
+// through, and the config that mines them.
+struct QualityWorkload {
+  size_t attrs = 0;
+  size_t clusters = 0;
+  PlantedDataset data;
+  DarConfig config;
+};
+
+Result<QualityWorkload> MakeQualityWorkload(const BenchOptions& options,
+                                            double shift) {
+  QualityWorkload w;
+  w.attrs = options.smoke ? 4 : 6;
+  w.clusters = options.smoke ? 3 : 4;
   const size_t n = options.smoke ? 16000 : 100000;
-  const size_t drift_row = n / 2;
   // No outliers: the stationary control must reproduce the planted rule
   // set exactly in both generations, and uniform outlier tuples are the
   // one source of spurious clusters.
-  const PlantedDataSpec spec = WbcdLikeSpec(attrs, clusters, 0.0,
+  const PlantedDataSpec spec = WbcdLikeSpec(w.attrs, w.clusters, 0.0,
                                             options.seed + 51);
   // A shift of a quarter slot is several cluster stddevs (0.04 * slot):
   // large enough that post-cut tuples visibly move the recovered interval
   // boxes, small enough that the planted pattern structure survives.
-  const double slot = 1000.0 / static_cast<double>(clusters);
-  auto data = GenerateDrifting(spec, n, drift_row, shift * slot,
-                               options.seed + 52);
-  if (!data.ok()) {
-    std::cerr << data.status() << "\n";
+  const double slot = 1000.0 / static_cast<double>(w.clusters);
+  DAR_ASSIGN_OR_RETURN(w.data, GenerateDrifting(spec, n, n / 2, shift * slot,
+                                                options.seed + 52));
+  w.config.memory_budget_bytes = 32u << 20;
+  w.config.frequency_fraction = 0.5 / static_cast<double>(w.clusters);
+  w.config.initial_diameters.assign(w.attrs, 0.3 * 1000.0 / w.clusters);
+  w.config.degree_threshold = 150.0;
+  w.config.count_rule_support = true;  // scoring needs the post-scan counts
+  return w;
+}
+
+int RunQualityRun(const BenchOptions& options, const std::string& label,
+                  double shift, std::vector<RunRecord>& runs) {
+  auto workload = MakeQualityWorkload(options, shift);
+  if (!workload.ok()) {
+    std::cerr << workload.status() << "\n";
     return 1;
   }
-  DarConfig config;
-  config.memory_budget_bytes = 32u << 20;
-  config.frequency_fraction = 0.5 / static_cast<double>(clusters);
-  config.initial_diameters.assign(attrs, 0.3 * 1000.0 / clusters);
-  config.degree_threshold = 150.0;
-  config.count_rule_support = true;  // scoring needs the post-scan counts
-  auto session = MakeSession(options, config);
+  const PlantedDataset& data = workload->data;
+  const size_t n = data.relation.num_rows();
+  const size_t drift_row = n / 2;
+  auto session = MakeSession(options, workload->config);
   if (!session.ok()) {
     std::cerr << session.status() << "\n";
     return 1;
@@ -1241,8 +1266,8 @@ int RunQualityRun(const BenchOptions& options, const std::string& label,
   // 1, so even stationary interval boxes pick up fresh sample extremes.
   stream_config.drift_interval_tolerance = 0.25;
   stream_config.drift_degree_tolerance = 0.5;
-  auto stream = session->OpenStream(data->relation.schema(),
-                                    data->partition, stream_config);
+  auto stream = session->OpenStream(data.relation.schema(),
+                                    data.partition, stream_config);
   if (!stream.ok()) {
     std::cerr << stream.status() << "\n";
     return 1;
@@ -1250,7 +1275,7 @@ int RunQualityRun(const BenchOptions& options, const std::string& label,
 
   Stopwatch watch;
   for (size_t r = 0; r < drift_row; ++r) {
-    if (auto s = (*stream)->IngestRow(data->relation.Row(r)); !s.ok()) {
+    if (auto s = (*stream)->IngestRow(data.relation.Row(r)); !s.ok()) {
       std::cerr << s << "\n";
       return 1;
     }
@@ -1260,7 +1285,7 @@ int RunQualityRun(const BenchOptions& options, const std::string& label,
     return 1;
   }
   for (size_t r = drift_row; r < n; ++r) {
-    if (auto s = (*stream)->IngestRow(data->relation.Row(r)); !s.ok()) {
+    if (auto s = (*stream)->IngestRow(data.relation.Row(r)); !s.ok()) {
       std::cerr << s << "\n";
       return 1;
     }
@@ -1297,8 +1322,8 @@ int RunQualityRun(const BenchOptions& options, const std::string& label,
   run.name = "quality/" + label;
   run.params = {
       {"n", static_cast<double>(n)},
-      {"attrs", static_cast<double>(attrs)},
-      {"clusters_per_attr", static_cast<double>(clusters)},
+      {"attrs", static_cast<double>(workload->attrs)},
+      {"clusters_per_attr", static_cast<double>(workload->clusters)},
       {"drift_row", static_cast<double>(drift_row)},
       {"drift_injected", shift != 0 ? 1.0 : 0.0},
       {"rules_total", static_cast<double>(scored->stats.size())},
@@ -1320,6 +1345,72 @@ int RunQualitySuite(const BenchOptions& options,
                     std::vector<RunRecord>& runs) {
   if (RunQualityRun(options, "drift", 0.25, runs) != 0) return 1;
   return RunQualityRun(options, "stationary", 0.0, runs);
+}
+
+// micro/rule_stats: the contingency post-scan alone, serial, over the
+// quality suite's drift stream and the rules one batch mine of it forms.
+int MicroRuleStats(const BenchOptions& options,
+                   std::vector<RunRecord>& runs) {
+  auto workload = MakeQualityWorkload(options, 0.25);
+  if (!workload.ok()) {
+    std::cerr << workload.status() << "\n";
+    return 1;
+  }
+  const Relation& rel = workload->data.relation;
+  const AttributePartition& partition = workload->data.partition;
+  auto session = MakeSession(options, workload->config);
+  if (!session.ok()) {
+    std::cerr << session.status() << "\n";
+    return 1;
+  }
+  auto phase1 = session->RunPhase1(rel, partition);
+  if (!phase1.ok()) {
+    std::cerr << phase1.status() << "\n";
+    return 1;
+  }
+  auto phase2 = session->RunPhase2(*phase1);
+  if (!phase2.ok()) {
+    std::cerr << phase2.status() << "\n";
+    return 1;
+  }
+  Stopwatch watch;
+  auto stats = ComputeRuleStats(rel, partition, phase1->clusters,
+                                phase2->rules, nullptr);
+  const double seconds = watch.ElapsedSeconds();
+  if (!stats.ok()) {
+    std::cerr << stats.status() << "\n";
+    return 1;
+  }
+  std::set<std::vector<int64_t>> signatures;
+  phase1->clusters.ForEachRowAssignment(
+      rel, partition, 0, rel.num_rows(),
+      [&](size_t, std::span<const int64_t> assignment) {
+        signatures.emplace(assignment.begin(), assignment.end());
+      });
+  telemetry::MetricsRegistry registry;
+  registry.GetCounter("micro.rule_stats.rows")
+      ->Increment(static_cast<int64_t>(rel.num_rows()));
+  registry.GetCounter("micro.rule_stats.rules")
+      ->Increment(static_cast<int64_t>(phase2->rules.size()));
+  registry.GetCounter("micro.rule_stats.signatures")
+      ->Increment(static_cast<int64_t>(signatures.size()));
+  RunRecord run;
+  run.name = "micro/rule_stats";
+  run.params = {{"n", static_cast<double>(rel.num_rows())},
+                {"attrs", static_cast<double>(workload->attrs)},
+                {"clusters_per_attr",
+                 static_cast<double>(workload->clusters)}};
+  run.timings = {{"seconds", seconds}};
+  run.telemetry_json = DeterministicTelemetry(registry.TakeSnapshot());
+  runs.push_back(std::move(run));
+  return 0;
+}
+
+int RunMicroSuite(const BenchOptions& options, std::vector<RunRecord>& runs) {
+  MicroAcfInsert(options, runs);
+  MicroD2Distance(options, runs);
+  if (MicroCliquesAndRules(options, runs) != 0) return 1;
+  return MicroRuleStats(options, runs);
 }
 
 int Usage() {
@@ -1347,44 +1438,31 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::vector<RunRecord> phase1_runs;
-  if (RunPhase1Suite(options, phase1_runs) != 0) return 1;
-  if (WriteSuite(options, "phase1", phase1_runs) != 0) return 1;
-
-  std::vector<RunRecord> phase2_runs;
-  if (RunPhase2Suite(options, phase2_runs) != 0) return 1;
-  if (WriteSuite(options, "phase2", phase2_runs) != 0) return 1;
-
-  std::vector<RunRecord> stream_runs;
-  if (RunStreamSuite(options, stream_runs) != 0) return 1;
-  if (WriteSuite(options, "stream", stream_runs) != 0) return 1;
-
-  std::vector<RunRecord> persist_runs;
-  if (RunPersistSuite(options, persist_runs) != 0) return 1;
-  if (WriteSuite(options, "persist", persist_runs) != 0) return 1;
-
-  std::vector<RunRecord> serve_runs;
-  if (RunServeSuite(options, serve_runs) != 0) return 1;
-  if (WriteSuite(options, "serve", serve_runs) != 0) return 1;
-
-  std::vector<RunRecord> merge_runs;
-  if (RunMergeSuite(options, merge_runs) != 0) return 1;
-  if (WriteSuite(options, "merge", merge_runs) != 0) return 1;
-
-  std::vector<RunRecord> quality_runs;
-  if (RunQualitySuite(options, quality_runs) != 0) return 1;
-  if (WriteSuite(options, "quality", quality_runs) != 0) return 1;
-
-  std::vector<RunRecord> graph_runs;
-  if (RunGraphSuite(options, graph_runs) != 0) return 1;
-  if (WriteSuite(options, "graph", graph_runs) != 0) return 1;
-
-  std::vector<RunRecord> micro_runs;
-  MicroAcfInsert(options, micro_runs);
-  MicroD2Distance(options, micro_runs);
-  if (MicroCliquesAndRules(options, micro_runs) != 0) return 1;
-  if (WriteSuite(options, "micro", micro_runs) != 0) return 1;
-  return 0;
+  // A failing suite does not stop the others: each passing suite still
+  // writes its JSON, and the exit status reports the failures at the end.
+  struct Suite {
+    const char* name;
+    int (*run)(const BenchOptions&, std::vector<RunRecord>&);
+  };
+  const Suite suites[] = {
+      {"phase1", RunPhase1Suite}, {"phase2", RunPhase2Suite},
+      {"stream", RunStreamSuite}, {"persist", RunPersistSuite},
+      {"serve", RunServeSuite},   {"merge", RunMergeSuite},
+      {"quality", RunQualitySuite}, {"graph", RunGraphSuite},
+      {"micro", RunMicroSuite}};
+  std::vector<std::string> failed;
+  for (const Suite& suite : suites) {
+    std::vector<RunRecord> runs;
+    if (suite.run(options, runs) != 0 ||
+        WriteSuite(options, suite.name, runs) != 0) {
+      failed.push_back(suite.name);
+    }
+  }
+  if (failed.empty()) return 0;
+  std::cerr << "bench_main: failed suites:";
+  for (const std::string& name : failed) std::cerr << " " << name;
+  std::cerr << "\n";
+  return 1;
 }
 
 }  // namespace

@@ -26,16 +26,15 @@ Result<GeneralizedQarResult> GeneralizedQarMiner::Mine(
   // part that has any frequent cluster (§4.3.2: parts without frequent
   // clusters are omitted).
   std::vector<Itemset> transactions(rel.num_rows());
-  std::vector<double> buf;
-  for (size_t r = 0; r < rel.num_rows(); ++r) {
-    Itemset& t = transactions[r];
-    for (size_t p = 0; p < partition.num_parts(); ++p) {
-      rel.ProjectRow(r, partition.part(p).columns, buf);
-      auto assigned = clusters.AssignToCluster(p, buf);
-      if (assigned.ok()) t.push_back(static_cast<Item>(*assigned));
-    }
-    Canonicalize(t);
-  }
+  clusters.ForEachRowAssignment(
+      rel, partition, 0, rel.num_rows(),
+      [&](size_t r, std::span<const int64_t> assignment) {
+        Itemset& t = transactions[r];
+        for (const int64_t id : assignment) {
+          if (id >= 0) t.push_back(static_cast<Item>(id));
+        }
+        Canonicalize(t);
+      });
 
   AprioriOptions ap;
   ap.min_support_count = out.phase1.frequency_threshold;

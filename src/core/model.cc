@@ -22,11 +22,16 @@ ClusterSet::ClusterSet(std::shared_ptr<const AcfLayout> layout,
 
 Result<size_t> ClusterSet::AssignToCluster(
     size_t p, std::span<const double> values) const {
-  const std::vector<size_t>& ids = by_part_.at(p);
-  if (ids.empty()) {
+  if (by_part_.at(p).empty()) {
     return Status::NotFound("part " + std::to_string(p) +
                             " has no frequent clusters");
   }
+  return NearestOnPart(p, values);
+}
+
+size_t ClusterSet::NearestOnPart(size_t p,
+                                 std::span<const double> values) const {
+  const std::vector<size_t>& ids = by_part_[p];
   size_t best = ids[0];
   double best_d = std::numeric_limits<double>::infinity();
   for (size_t id : ids) {

@@ -1,6 +1,7 @@
 #ifndef DAR_CORE_MODEL_H_
 #define DAR_CORE_MODEL_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,6 +49,29 @@ class ClusterSet {
   Result<size_t> AssignToCluster(size_t p,
                                  std::span<const double> values) const;
 
+  /// Calls `fn(row, assignment)` for each row in [begin, end) of `rel`, in
+  /// order: assignment[p] is the AssignToCluster id of the row's image on
+  /// part p, or -1 when part p has no frequent clusters. Empty parts are
+  /// found once, before the row loop; `assignment` is reused across rows.
+  template <typename Fn>
+  void ForEachRowAssignment(const Relation& rel,
+                            const AttributePartition& partition,
+                            size_t begin, size_t end, Fn&& fn) const {
+    std::vector<int64_t> assignment(partition.num_parts(), -1);
+    std::vector<size_t> assigned_parts;
+    for (size_t p = 0; p < partition.num_parts(); ++p) {
+      if (!ClustersOnPart(p).empty()) assigned_parts.push_back(p);
+    }
+    std::vector<double> buf;
+    for (size_t r = begin; r < end; ++r) {
+      for (size_t p : assigned_parts) {
+        rel.ProjectRow(r, partition.part(p).columns, buf);
+        assignment[p] = static_cast<int64_t>(NearestOnPart(p, buf));
+      }
+      fn(r, std::span<const int64_t>(assignment));
+    }
+  }
+
   /// Human-readable description of cluster `id` by its smallest bounding
   /// box (the §7.2 presentation choice), e.g. "Salary in [80K, 82K]".
   std::string Describe(size_t id, const Schema& schema,
@@ -60,6 +84,9 @@ class ClusterSet {
                                   const AttributePartition& partition) const;
 
  private:
+  // AssignToCluster on a part known to have at least one cluster.
+  size_t NearestOnPart(size_t p, std::span<const double> values) const;
+
   std::shared_ptr<const AcfLayout> layout_;
   std::vector<FoundCluster> clusters_;
   std::vector<std::vector<size_t>> by_part_;

@@ -28,15 +28,22 @@ struct RuleStats {
   int64_t both = 0;
 };
 
-/// Fills one RuleStats per rule with a single pass over `rel`: each row is
-/// assigned to one cluster per part once, then every rule's three match
-/// counters are bumped from that shared assignment — the cost is one
-/// assignment scan regardless of how many measures are later evaluated.
+/// Fills one RuleStats per rule with a single pass over `rel`. A row's
+/// contribution depends only on its signature: the §4.3.2 assignment of
+/// the row to one cluster per part (-1 on a part without clusters). So the
+/// pass assigns each row once per part, counts rows per distinct signature
+/// in a hash table, then adds each signature's row count to every rule
+/// whose antecedent, consequent or both it matches. The cost is
+/// rows x clusters-per-part distance evaluations plus signatures x rules
+/// side checks, never more than the rows x rules of a per-row rule test,
+/// and no per-row buffer is kept. It is one scan however many measures are
+/// later evaluated.
 ///
-/// Row ranges are sharded on `executor` (null = serial) and the per-shard
-/// integer counts are summed in shard order, so the result is bit-identical
-/// at any thread count. This is the generalization of the §6.2 support
-/// post-scan; Session::CountRuleSupport delegates here.
+/// Row ranges are sharded on `executor` (null = serial), each shard with
+/// its own signature table, and the per-shard integer counts are summed in
+/// shard order, so the result is bit-identical at any thread count. This
+/// is the generalization of the §6.2 support post-scan;
+/// Session::CountRuleSupport delegates here.
 Result<std::vector<RuleStats>> ComputeRuleStats(
     const Relation& rel, const AttributePartition& partition,
     const ClusterSet& clusters, std::span<const DistanceRule> rules,

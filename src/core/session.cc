@@ -54,10 +54,13 @@ Status Session::CountRuleSupport(const Relation& rel,
   // table; the generalized scan (core/rule_stats.h) shards the rescan and
   // merges integer counts in shard order, so the result stays
   // executor-independent.
+  Stopwatch watch;
   DAR_ASSIGN_OR_RETURN(
       const std::vector<RuleStats> stats,
       ComputeRuleStats(rel, partition, phase1.clusters, rules,
                        executor_.get()));
+  registry_->GetGauge("quality.stats_seconds", telemetry::Unit::kSeconds)
+      ->Set(watch.ElapsedSeconds());
   for (size_t k = 0; k < rules.size(); ++k) {
     rules[k].support_count = stats[k].both;
   }

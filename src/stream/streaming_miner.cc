@@ -42,6 +42,10 @@ StreamingMiner::StreamingMiner(
         "stream.ingest_seconds", telemetry::Histogram::LatencyBounds());
     remine_seconds_ = reg.GetHistogram(
         "stream.remine_seconds", telemetry::Histogram::LatencyBounds());
+    if (retains_rows()) {
+      stats_seconds_ =
+          reg.GetGauge("quality.stats_seconds", telemetry::Unit::kSeconds);
+    }
     rules_scored_ = reg.GetCounter("quality.rules_scored");
     rules_pruned_ = reg.GetCounter("quality.rules_pruned");
     rules_born_ = reg.GetCounter("quality.rules_born");
@@ -182,11 +186,15 @@ Result<QualityArtifacts> StreamingMiner::ComputeQuality(
     // The §6.2 support post-scan the batch path runs inside Mine(): one
     // executor-parallel pass over the retained tuples fills contingency
     // tables for every rule at once.
+    Stopwatch stats_watch;
     DAR_ASSIGN_OR_RETURN(
         std::vector<RuleStats> stats,
         ComputeRuleStats(retained_rows_, partition_, phase1.clusters,
                          phase2.rules,
                          executor_ != nullptr ? executor_.get() : nullptr));
+    if (stats_seconds_ != nullptr) {
+      stats_seconds_->Set(stats_watch.ElapsedSeconds());
+    }
     for (size_t k = 0; k < phase2.rules.size(); ++k) {
       phase2.rules[k].support_count = stats[k].both;
     }

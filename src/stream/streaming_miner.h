@@ -274,6 +274,7 @@ class StreamingMiner {
   telemetry::Gauge* snapshot_clusters_ = nullptr;
   telemetry::Histogram* ingest_seconds_ = nullptr;
   telemetry::Histogram* remine_seconds_ = nullptr;
+  telemetry::Gauge* stats_seconds_ = nullptr;  // only when retains_rows()
   telemetry::Counter* rules_scored_ = nullptr;
   telemetry::Counter* rules_pruned_ = nullptr;
   telemetry::Counter* rules_born_ = nullptr;

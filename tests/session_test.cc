@@ -203,6 +203,8 @@ TEST(SessionTest, DeterministicJsonIdenticalAcrossThreadCounts) {
   EXPECT_EQ(json_one.find("\"phase1.seconds\""), std::string::npos);
   EXPECT_NE(full.find("\"phase2.rules_seconds\""), std::string::npos);
   EXPECT_EQ(json_one.find("\"phase2.rules_seconds\""), std::string::npos);
+  EXPECT_NE(full.find("\"quality.stats_seconds\""), std::string::npos);
+  EXPECT_EQ(json_one.find("\"quality.stats_seconds\""), std::string::npos);
 }
 
 TEST(SessionTest, StreamingAddRowMatchesBatchAddRelation) {

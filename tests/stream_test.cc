@@ -561,6 +561,11 @@ TEST(StreamQualityTest, StreamingSupportCountsMatchBatchMine) {
   auto snapshot = (*stream)->Remine();
   ASSERT_TRUE(snapshot.ok()) << snapshot.status();
   ExpectSameRules((*snapshot)->rules(), report->rules());
+  // Both paths time the post-scan in a seconds gauge.
+  EXPECT_EQ(report->telemetry.gauges.count("quality.stats_seconds"), 1u);
+  EXPECT_EQ(stream_session->metrics().TakeSnapshot().gauges.count(
+                "quality.stats_seconds"),
+            1u);
 }
 
 TEST(StreamQualityTest, ScoreMeasuresRequireSupportCounting) {

@@ -61,7 +61,10 @@ correctness bug in the engine, not noise.
 The "micro" suite must include the rule-formation kernel: a run named
 "micro/rule_gen" whose counters micro.rule_gen.rules,
 micro.rule_gen.degree_evaluations and micro.rule_gen.cliques are all
-non-zero — a kernel that formed no rule measured nothing.
+non-zero — a kernel that formed no rule measured nothing. Likewise the
+contingency post-scan: a run named "micro/rule_stats" whose counters
+micro.rule_stats.rows, micro.rule_stats.rules and
+micro.rule_stats.signatures are all non-zero.
 
 Usage: tools/check_bench_json.py FILE [FILE...]
 Prints one `file: message` per violation and exits 1 when anything is
@@ -302,27 +305,34 @@ def check_graph_suite(errors, runs):
                           "adversarial budget runs are missing")
 
 
-MICRO_RULE_GEN_COUNTERS = ("micro.rule_gen.rules",
-                           "micro.rule_gen.degree_evaluations",
-                           "micro.rule_gen.cliques")
+MICRO_COUNTERS = {
+    "micro/rule_gen": ("micro.rule_gen.rules",
+                       "micro.rule_gen.degree_evaluations",
+                       "micro.rule_gen.cliques"),
+    "micro/rule_stats": ("micro.rule_stats.rows",
+                         "micro.rule_stats.rules",
+                         "micro.rule_stats.signatures"),
+}
 
 
 def check_micro_suite(errors, runs):
-    """The micro suite must carry micro/rule_gen with non-zero counters."""
-    rule_gen = [run for run in runs if isinstance(run, dict)
-                and run.get("name") == "micro/rule_gen"]
-    if not rule_gen:
-        errors.append("runs: missing the 'micro/rule_gen' run")
-        return
-    telemetry = rule_gen[0].get("telemetry")
-    counters = telemetry.get("counters", {}) if isinstance(
-        telemetry, dict) else {}
-    for name in MICRO_RULE_GEN_COUNTERS:
-        counter = counters.get(name)
-        value = counter.get("value") if isinstance(counter, dict) else None
-        if not is_int(value) or value <= 0:
-            errors.append(f"micro/rule_gen.telemetry.counters['{name}']: "
-                          f"must be a positive integer, got {value!r}")
+    """The micro suite must carry each MICRO_COUNTERS run with non-zero
+    counters."""
+    for run_name, counter_names in MICRO_COUNTERS.items():
+        matching = [run for run in runs if isinstance(run, dict)
+                    and run.get("name") == run_name]
+        if not matching:
+            errors.append(f"runs: missing the '{run_name}' run")
+            continue
+        telemetry = matching[0].get("telemetry")
+        counters = telemetry.get("counters", {}) if isinstance(
+            telemetry, dict) else {}
+        for name in counter_names:
+            counter = counters.get(name)
+            value = counter.get("value") if isinstance(counter, dict) else None
+            if not is_int(value) or value <= 0:
+                errors.append(f"{run_name}.telemetry.counters['{name}']: "
+                              f"must be a positive integer, got {value!r}")
 
 
 def check_file(path):
